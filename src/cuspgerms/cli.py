@@ -116,8 +116,10 @@ def _cmd_semigroup_info(args: argparse.Namespace) -> dict[str, Any]:
     bound = args.bound if args.bound is not None else s.conductor() + 1
     if bound < 0:
         raise ValueError(f"membership bound must be >= 0, got {bound}")
-    members = [n for n in range(bound + 1) if s.contains(n)]
-    gaps = [n for n in range(bound + 1) if not s.contains(n)]
+    members: list[int] = []
+    gaps: list[int] = []
+    for n in range(bound + 1):
+        (members if s.contains(n) else gaps).append(n)
     return {
         "command": "semigroup info",
         "inputs": {"p": args.p, "q": args.q, "bound": bound},
@@ -373,10 +375,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         report = args.handler(args)
-    except CuspGermsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (CuspGermsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.json:

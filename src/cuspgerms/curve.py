@@ -245,7 +245,7 @@ class CuspCurve:
             return any(s.contains(e - j) for j in range(0, max_j + 1))
 
         generates = all(covered(e, r) for e in range(0, bound + 1))
-        fewer = all(covered(e, r - 1) for e in range(0, bound + 1)) if r >= 1 else generates
+        fewer = all(covered(e, r - 1) for e in range(0, bound + 1))
         return WeakGenerationReport(
             generator_power_max=r,
             checked_up_to=bound,

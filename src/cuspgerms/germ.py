@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import GermParseError
@@ -221,17 +222,7 @@ class LaurentGerm:
         if not isinstance(other, LaurentGerm):
             return NotImplemented
         tail = _min_tail(self._tail, other._tail)
-        merged = dict(self._terms)
-        for e, c in other._terms.items():
-            if e in merged:
-                s = merged[e] + c
-                if s.is_zero():
-                    del merged[e]
-                else:
-                    merged[e] = s
-            else:
-                merged[e] = c
-        return LaurentGerm(merged, tail)
+        return LaurentGerm(chain(self._terms.items(), other._terms.items()), tail)
 
     def __neg__(self) -> "LaurentGerm":
         return LaurentGerm({e: -c for e, c in self._terms.items()}, self._tail)

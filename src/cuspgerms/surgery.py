@@ -50,15 +50,13 @@ class Site:
     def ideal_contains(self, e: int) -> bool:
         """Is t^e the pullback of an element of the (k-1)-st maximal-ideal power?
 
-        Such pullback exponents are (k-1)-fold sums of {k, k+1} plus semigroup
-        members: e = k(k-1) + j + s with 0 <= j <= k-1, s in <k, k+1>.  By the
-        weak-generation property of <k, k+1> this set is exactly [k(k-1), oo),
-        but the membership is checked through the representation.
+        Closed form: exactly when e >= k(k-1).  Such pullback exponents are
+        e = k(k-1) + j + s with 0 <= j <= k-1 and s in <k, k+1>, so none lies
+        below k(k-1); s = 0 covers the first k above it, and beyond those the
+        k candidates e - k(k-1) - j are consecutive positive integers, one of
+        them a multiple of k.
         """
-        k = self.index
-        base = self.ideal_exponent()
-        s = self.curve.semigroup
-        return any(s.contains(e - base - j) for j in range(0, k))
+        return e >= self.ideal_exponent()
 
     def decision_for_power(self, germ: LaurentGerm, n: int) -> Decision:
         return self.curve.is_holomorphic_at_cusp(germ ** n)
@@ -72,15 +70,15 @@ def validate_star(sites: Sequence[Site]) -> bool:
 
     Exact rational arithmetic on the base line; the standard layout
     (integer centers, radius 1/3) passes because gaps of 1 exceed 2/3.
+    Radii are positive, so disjoint disks never reach another center.  Only
+    neighbours in center order are compared: if disks i < j < k are disjoint
+    as neighbours, then c_k - c_i > r_i + r_k + 2 r_j.
     """
-    for i, a in enumerate(sites):
-        for b in sites[i + 1:]:
-            gap = abs(a.center - b.center)
-            if gap <= a.radius + b.radius:
-                return False
-            if gap <= a.radius or gap <= b.radius:
-                return False
-    return True
+    ordered = sorted(sites, key=lambda s: s.center)
+    return all(
+        b.center - a.center > a.radius + b.radius
+        for a, b in zip(ordered, ordered[1:])
+    )
 
 
 class SurgeryCurve:
@@ -139,8 +137,9 @@ def make_global_rado(
 
     By default the ideal ambiguity stays symbolic, t + O(t^(k(k-1))).  An
     explicit tail germ may be supplied per site; every stored exponent must
-    lie in the surgery ideal, and an inexact tail must start at or beyond
-    the ideal exponent.
+    lie in the surgery ideal [k(k-1), oo) (see `Site.ideal_contains`), so
+    checking the lowest one suffices, and an inexact tail must start at or
+    beyond the ideal exponent.
     """
     tails = dict(explicit_tails) if explicit_tails else {}
     unknown_sites = set(tails) - {s.index for s in curve.sites}
@@ -154,12 +153,12 @@ def make_global_rado(
         if tail is None:
             per[k] = t + LaurentGerm.tail_only(site.ideal_exponent())
             continue
-        for e in tail.exponents():
-            if not site.ideal_contains(e):
-                raise ValueError(
-                    f"tail exponent {e} at site {k} is outside the surgery ideal"
-                    f" (needs k(k-1) = {site.ideal_exponent()} plus an admissible shift)"
-                )
+        lowest = tail.lowest_exponent()
+        if lowest is not None and not site.ideal_contains(lowest):
+            raise ValueError(
+                f"tail exponent {lowest} at site {k} is outside the surgery ideal"
+                f" (needs k(k-1) = {site.ideal_exponent()} plus an admissible shift)"
+            )
         bound = tail.tail_bound
         if bound is not None and bound < site.ideal_exponent():
             raise ValueError(
@@ -176,13 +175,13 @@ def no_global_power_witness(
     """Site index certifying that the n-th power of the section fails to be
     holomorphic on the whole glued curve.
 
-    Scans the sites with index above n in increasing order and returns the
-    first with a CertainlyNo decision.  Above n the obstruction is
-    unconditional: the power has lowest exponent n, and 0 < n < k lies below
-    every nonzero member of <k, k+1>, while the ideal tail starts at
-    k(k-1) > n and cannot interfere.  Sites at or below n may fail as well
-    for particular n, but carry no uniform guarantee, so the certified
-    witness is searched above n only.
+    Closed form: site n+1.  Above n the obstruction is unconditional: the
+    power has lowest exponent n, and 0 < n < k lies below every nonzero
+    member of <k, k+1>, while the ideal tail starts at k(k-1) > n and cannot
+    interfere.  So for every section `make_global_rado` builds, the decision
+    at site n+1 is CertainlyNo; the scan onward to maxK only matters for a
+    hand-built section.  Sites at or below n carry no uniform guarantee and
+    are never searched.
     """
     if n < 1:
         raise ValueError(f"power must be >= 1, got {n}")
@@ -192,9 +191,7 @@ def no_global_power_witness(
         )
     if section is None:
         section = make_global_rado(curve)
-    for site in curve.sites:
-        if site.index <= n:
-            continue
+    for site in curve.sites[n - 1:]:
         if site.decision_for_power(section.germ_at(site.index), n).is_no:
             return site.index
     raise NoWitnessInRange(
@@ -204,7 +201,8 @@ def no_global_power_witness(
 
 def n_omega(curve: SurgeryCurve, region_max_index: int) -> int:
     """Uniform power bound for the region holding sites 2..K: the largest
-    local conductor, (K-1)K.
+    local conductor, (K-1)K, since the conductor (k-1)k of <k, k+1> grows
+    with k.
 
     Every germ vanishing at its cusp (lowest exponent >= 1) has all powers
     n >= n_omega holomorphic at every site of the region, because the n-th
@@ -214,7 +212,7 @@ def n_omega(curve: SurgeryCurve, region_max_index: int) -> int:
     K = region_max_index
     if not 2 <= K <= curve.max_index:
         raise ValueError(f"region index must lie in 2..{curve.max_index}, got {K}")
-    return max(s.curve.semigroup.conductor() for s in curve.sites if s.index <= K)
+    return (K - 1) * K
 
 
 @dataclass(frozen=True)

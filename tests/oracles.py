@@ -51,6 +51,51 @@ def dp_membership(p: int, q: int, bound: int) -> bytearray:
     return dp
 
 
+def dp_conductor(p: int, q: int) -> int:
+    """One past the largest non-member of <p, q>, read off the DP table
+    (every non-member lies below p*q)."""
+    dp = dp_membership(p, q, p * q)
+    return max((i for i in range(p * q + 1) if not dp[i]), default=-1) + 1
+
+
+def ideal_contains_by_representation(k: int, e: int) -> bool:
+    """Surgery-ideal membership at site k by its definition: e = k(k-1) + j + s
+    with 0 <= j <= k-1 and s in <k, k+1>, each s found by literal search."""
+    base = k * (k - 1)
+    return any(brute_contains(k, k + 1, e - base - j) for j in range(k))
+
+
+def validate_star_all_pairs(sites) -> bool:
+    """Every pair of closed disks disjoint, and no disk reaches another center."""
+    for i, a in enumerate(sites):
+        for b in sites[i + 1:]:
+            gap = abs(a.center - b.center)
+            if gap <= a.radius + b.radius:
+                return False
+            if gap <= a.radius or gap <= b.radius:
+                return False
+    return True
+
+
+def max_site_conductor(curve, region_max_index: int) -> int:
+    """Largest conductor of <k, k+1> over the sites k <= K of a glued curve."""
+    return max(
+        dp_conductor(s.index, s.index + 1)
+        for s in curve.sites if s.index <= region_max_index
+    )
+
+
+def first_refusing_site_scan(curve, n: int, section) -> int | None:
+    """Every site in order, skipping those at or below n; the first whose n-th
+    power decision is CertainlyNo, or None if no site refuses."""
+    for site in curve.sites:
+        if site.index <= n:
+            continue
+        if site.decision_for_power(section.germ_at(site.index), n).is_no:
+            return site.index
+    return None
+
+
 def numeric_weierstrass_coeffs(d: int, e: int, z: complex) -> list[complex]:
     """Monic coefficients of prod_j (T - t_j^e) over the fiber t_j^d = z,
     highest degree first, via numpy's polynomial-from-roots."""

@@ -18,6 +18,13 @@ from cuspgerms import (
     parse_germ,
     validate_star,
 )
+from oracles import (
+    first_refusing_site_scan,
+    ideal_contains_by_representation,
+    max_site_conductor,
+    random_vanishing_germ,
+    validate_star_all_pairs,
+)
 
 T = LaurentGerm.monomial(1)
 
@@ -280,3 +287,94 @@ def test_vanishing_germs_closed_under_product():
         assert product.lowest_exponent() >= 2
         if product.tail_bound is not None:
             assert product.tail_bound > product.lowest_exponent()
+
+
+# -- closed forms against scan oracles -----------------------------------------------------
+
+
+def test_ideal_contains_matches_representation_oracle():
+    for k in range(2, 61):
+        site = Site.standard(k)
+        for e in range(-5, k * k + 3 * k + 1):
+            assert site.ideal_contains(e) == ideal_contains_by_representation(k, e), (k, e)
+
+
+def test_validate_star_matches_all_pairs_oracle():
+    rng = random.Random(23)
+    grid = [Fraction(a, d) for d in (1, 2, 3, 6) for a in range(-6, 7)]
+    radii = [Fraction(1, 6), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1)]
+    seen = {"valid": 0, "invalid": 0, "touching": 0}
+    for _ in range(3000):
+        sites: list[Site] = []
+        for i in range(rng.randint(0, 7)):
+            radius = rng.choice(radii)
+            if sites and rng.random() < 0.3:
+                other = rng.choice(sites)
+                center = other.center + rng.choice([-1, 1]) * (other.radius + radius)
+                seen["touching"] += 1
+            else:
+                center = rng.choice(grid)
+            sites.append(Site(2 + i, center=center, radius=radius))
+        rng.shuffle(sites)
+        expected = validate_star_all_pairs(sites)
+        assert validate_star(sites) == expected, sites
+        seen["valid" if expected else "invalid"] += 1
+    assert min(seen.values()) > 100, seen
+
+
+def test_n_omega_matches_max_site_conductor_oracle():
+    x = SurgeryCurve.build_standard(40)
+    for K in range(2, 41):
+        assert n_omega(x, K) == max_site_conductor(x, K), K
+
+
+def test_witness_matches_scan_oracle_with_random_explicit_tails():
+    rng = random.Random(31)
+    x = SurgeryCurve.build_standard(7)
+    for _ in range(40):
+        tails = {}
+        for site in rng.sample(x.sites, rng.randint(1, 4)):
+            base = site.ideal_exponent()
+            exponents = rng.sample(range(base, base + 10), rng.randint(1, 3))
+            bound = rng.choice([None, base + 10, base + 14])
+            tails[site.index] = LaurentGerm(
+                {e: rng.choice([1, -1, 2, Fraction(-1, 3)]) for e in exponents}, bound)
+        section = make_global_rado(x, tails)
+        for n in range(1, 7):
+            expected = first_refusing_site_scan(x, n, section)
+            assert expected == n + 1
+            assert no_global_power_witness(x, n, section) == expected
+
+
+def test_witness_scans_past_non_refusing_site_of_hand_built_section():
+    x = SurgeryCurve.build_standard(6)
+    germs = {2: T, 3: T ** 2, 4: T, 5: T, 6: T}  # (t^2)^2 = t^4 lies in <3, 4>
+    section = GlobalSection(germs)
+    assert not x.site(3).decision_for_power(germs[3], 2).is_no
+    assert first_refusing_site_scan(x, 2, section) == 4
+    assert no_global_power_witness(x, 2, section) == 4
+
+
+def test_witness_matches_scan_oracle_on_random_hand_built_sections():
+    rng = random.Random(37)
+    x = SurgeryCurve.build_standard(7)
+    outcomes = set()
+    for _ in range(150):
+        section = GlobalSection(
+            {site.index: random_vanishing_germ(rng, max_width=3) for site in x.sites})
+        for n in range(1, 7):
+            expected = first_refusing_site_scan(x, n, section)
+            if expected is None:
+                with pytest.raises(NoWitnessInRange):
+                    no_global_power_witness(x, n, section)
+            else:
+                assert no_global_power_witness(x, n, section) == expected, (n, section)
+            outcomes.add("none" if expected is None
+                         else "first" if expected == n + 1 else "later")
+    assert outcomes == {"none", "first", "later"}
+
+
+def test_explicit_tail_error_names_lowest_offending_exponent():
+    x = SurgeryCurve.build_standard(5)
+    with pytest.raises(ValueError, match="tail exponent 4 at site 3 is outside"):
+        make_global_rado(x, {3: parse_germ("t^4 + t^5 + t^9")})
