@@ -13,11 +13,14 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from math import gcd
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import GermParseError
 
 RationalLike = int | Fraction
+
+_FRACTION_ZERO = Fraction(0)
 
 
 class GaussianRational:
@@ -25,9 +28,10 @@ class GaussianRational:
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+    def __init__(self, re: RationalLike = 0, im: RationalLike = _FRACTION_ZERO):
+        # Fractions are immutable, so a given one is stored as is
+        self.re = re if type(re) is Fraction else Fraction(re)
+        self.im = im if type(im) is Fraction else Fraction(im)
 
     def is_zero(self) -> bool:
         return not self.re and not self.im
@@ -49,6 +53,32 @@ class GaussianRational:
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
+
+    def __rmul__(self, scalar: RationalLike) -> "GaussianRational":
+        """Rational scalar times this number: `k * z`."""
+        if not self.im:
+            return GaussianRational(scalar * self.re)
+        return GaussianRational(scalar * self.re, scalar * self.im)
+
+    def __pow__(self, n: int) -> "GaussianRational":
+        """Square-and-multiply power for n >= 0."""
+        if not self.im:
+            return GaussianRational(self.re ** n)
+        result, base = ONE, self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
+        return result
+
+    def inverse(self) -> "GaussianRational":
+        """1/z = conj(z)/|z|^2; ZeroDivisionError for zero."""
+        if not self.im:
+            return GaussianRational(1 / self.re)
+        norm = self.re * self.re + self.im * self.im
+        return GaussianRational(self.re / norm, -self.im / norm)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GaussianRational):
@@ -160,6 +190,17 @@ class LaurentGerm:
         self._terms = dict(sorted(cleaned.items()))
         self._tail = tail_bound
 
+    @classmethod
+    def _from_clean(
+        cls, terms: dict[int, GaussianRational], tail_bound: int | None
+    ) -> "LaurentGerm":
+        """Wrap terms that already meet the invariants, without checking them:
+        nonzero coefficients, keys increasing and below `tail_bound`."""
+        germ = object.__new__(cls)
+        germ._terms = terms
+        germ._tail = tail_bound
+        return germ
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -225,7 +266,7 @@ class LaurentGerm:
         return LaurentGerm(chain(self._terms.items(), other._terms.items()), tail)
 
     def __neg__(self) -> "LaurentGerm":
-        return LaurentGerm({e: -c for e, c in self._terms.items()}, self._tail)
+        return LaurentGerm._from_clean({e: -c for e, c in self._terms.items()}, self._tail)
 
     def __sub__(self, other: "LaurentGerm") -> "LaurentGerm":
         return self + (-other)
@@ -245,49 +286,111 @@ class LaurentGerm:
             if lo is not None:
                 t = self._tail + lo
                 tail = t if tail is None else min(tail, t)
+        if tail is None:
+            # both exact and nonzero, so both store terms
+            limit = next(reversed(self._terms)) + next(reversed(other._terms)) + 1
+        else:
+            limit = tail
         prod: dict[int, GaussianRational] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
                 e = e1 + e2
-                if tail is not None and e >= tail:
-                    continue
+                if e >= limit:
+                    break  # terms are sorted, so every later e2 is past it too
                 c = c1 * c2
-                if e in prod:
-                    s = prod[e] + c
+                s = prod.get(e)
+                if s is None:
+                    prod[e] = c
+                else:
+                    s = s + c
                     if s.is_zero():
                         del prod[e]
                     else:
                         prod[e] = s
-                else:
-                    prod[e] = c
-        return LaurentGerm(prod, tail)
+        return LaurentGerm._from_clean(dict(sorted(prod.items())), tail)
 
     def __pow__(self, n: int) -> "LaurentGerm":
-        """Square-and-multiply power; n = 0 gives the exact unit."""
+        """J.C.P. Miller's power recurrence (Knuth, TAOCP vol. 2, 4.7).
+
+        Write f = t^lo * g with g = sum_j g_j t^j and g_0 != 0.  Then
+        h = g^n satisfies g * h' = n * g' * h; comparing the coefficients of
+        t^(k-1) gives h_0 = g_0^n and, for k >= 1,
+
+            h_k = (1 / (k * g_0)) * sum_{j=1..k} ((n+1)*j - k) * g_j * h_{k-j}.
+
+        Only nonzero g_j contribute, and g_0 is inverted once per power.  Every
+        step is exact Q(i) arithmetic; dividing by k is possible because Q(i)
+        has characteristic 0 (in characteristic p the step k = p would divide
+        by zero).  So f^n costs no germ products.
+
+        Tail: h_k involves g_j for j <= k only.  For f = F + O(t^T) the stored
+        part F fixes g_j for j < T - lo, hence h_k for k < T - lo, which are
+        the coefficients of f^n below t^(n*lo + T - lo) = t^((n-1)*lo + T).
+        The unknown terms of f reach f^n from that exponent on (one factor
+        of order >= T times n - 1 factors of order lo), so it is the tail
+        bound.  It is also the bound iterated multiplication gives: by
+        induction f^m has lowest exponent m*lo (coefficient g_0^m, below its
+        tail since lo < T) and tail (m-1)*lo + T, so f^m * f has tail
+        min(m*lo + T, (m-1)*lo + T + lo) = m*lo + T.  An exact f of highest
+        exponent hi needs k <= n*(hi - lo).
+
+        When every j with g_j != 0 is a multiple of d, g is a series in
+        u = t^d, and substituting k = d*k', j = d*j' turns the recurrence
+        into the same one in u; so only every d-th h_k is computed.  A
+        monomial, truncated or not, has only h_0.
+
+        n = 0 gives the exact unit, even for a zero or truncated germ; the
+        exact zero stays zero, and O(t^T)**n is O(t^(n*T)).
+        """
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
             raise ValueError(f"germ power must be >= 0, got {n}")
-        result = LaurentGerm.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        if n == 0:
+            return LaurentGerm.one()
+        if not self._terms:
+            return LaurentGerm._from_clean({}, None if self._tail is None else n * self._tail)
+        terms = iter(self._terms.items())
+        lo, g0 = next(terms)
+        offsets = [(e - lo, c) for e, c in terms]
+        if self._tail is None:
+            width = n * (offsets[-1][0] if offsets else 0) + 1
+            tail = None
+        else:
+            width = self._tail - lo
+            tail = (n - 1) * lo + self._tail
+        # h_k for k < width, of which only multiples of step can be nonzero
+        step = gcd(*(j for j, _ in offsets)) or width
+        rest = [(j // step, c) for j, c in offsets]
+        count = -(-width // step)
+        inverse_g0 = g0.inverse()
+        h: list[GaussianRational | None] = [g0 ** n]
+        for k in range(1, count):
+            acc = None
+            for j, gj in rest:
+                if j > k:
+                    break
+                prev = h[k - j]
+                if prev is not None:
+                    term = ((n + 1) * j - k) * (gj * prev)
+                    acc = term if acc is None else acc + term
+            h.append(None if acc is None or acc.is_zero()
+                     else Fraction(1, k) * (acc * inverse_g0))
+        return LaurentGerm._from_clean(
+            {n * lo + step * k: c for k, c in enumerate(h) if c is not None}, tail
+        )
 
     def scaled(self, factor: CoeffLike) -> "LaurentGerm":
         c = _coeff(factor)
         if c.is_zero():
-            return LaurentGerm((), self._tail)
-        return LaurentGerm({e: v * c for e, v in self._terms.items()}, self._tail)
+            return LaurentGerm._from_clean({}, self._tail)
+        # a product of nonzero field elements is nonzero
+        return LaurentGerm._from_clean({e: v * c for e, v in self._terms.items()}, self._tail)
 
     def shifted(self, offset: int) -> "LaurentGerm":
         """Multiply by t^offset."""
         tail = None if self._tail is None else self._tail + offset
-        return LaurentGerm({e + offset: c for e, c in self._terms.items()}, tail)
+        return LaurentGerm._from_clean({e + offset: c for e, c in self._terms.items()}, tail)
 
     # -- decisions ---------------------------------------------------------
 

@@ -96,6 +96,37 @@ def first_refusing_site_scan(curve, n: int, section) -> int | None:
     return None
 
 
+def sympy_truncated_power(
+    terms: dict[int, tuple[Fraction, Fraction]], tail: int | None, n: int
+) -> tuple[dict[int, tuple[Fraction, Fraction]], int | None]:
+    """f**n for n >= 1 by sympy's truncated series power over QQ_I.
+
+    `terms` maps exponents to nonzero (re, im) pairs and must not be empty;
+    the result comes back in the same form with its tail bound.  With f =
+    t^lo * g, f^n = t^(n*lo) * g^n, and below the tail only g^n mod
+    t^(tail - lo) is known; an exact f needs g^n up to degree n*(hi - lo).
+    """
+    from sympy.polys.domains import QQ, QQ_I
+    from sympy.polys.ring_series import rs_pow
+    from sympy.polys.rings import ring
+
+    def qq(v: Fraction):
+        return QQ(v.numerator, v.denominator)
+
+    def fraction(v) -> Fraction:
+        return Fraction(int(v.numerator), int(v.denominator))
+
+    lo, hi = min(terms), max(terms)
+    poly_ring, x = ring("x", QQ_I)
+    g = poly_ring({(e - lo,): QQ_I(qq(re), qq(im)) for e, (re, im) in terms.items()})
+    precision = n * (hi - lo) + 1 if tail is None else tail - lo
+    power = rs_pow(g, n, x, precision)
+    result = {
+        n * lo + k: (fraction(c.x), fraction(c.y)) for (k,), c in power.items() if c
+    }
+    return result, None if tail is None else (n - 1) * lo + tail
+
+
 def numeric_weierstrass_coeffs(d: int, e: int, z: complex) -> list[complex]:
     """Monic coefficients of prod_j (T - t_j^e) over the fiber t_j^d = z,
     highest degree first, via numpy's polynomial-from-roots."""

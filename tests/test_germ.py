@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import sympy_truncated_power
+
 from cuspgerms import (
     CERTAINLY_NO,
     CERTAINLY_YES,
@@ -35,9 +37,31 @@ def test_gaussian_rational_arithmetic():
     assert a + b == GaussianRational(4, 1)
     assert a - b == GaussianRational(-2, 3)
     assert -a == GaussianRational(-1, -2)
+    assert 3 * a == GaussianRational(3, 6)
+    assert Fraction(1, 2) * b == GaussianRational(Fraction(3, 2), Fraction(-1, 2))
+    assert a ** 0 == GaussianRational(1)
+    assert GaussianRational(1, 1) ** 4 == GaussianRational(-4)
+    assert GaussianRational(Fraction(-2, 3)) ** 3 == GaussianRational(Fraction(-8, 27))
     assert complex(a) == 1 + 2j
     assert str(GaussianRational(Fraction(1, 2))) == "1/2"
     assert str(GaussianRational(0, 1)) == "(0,1)"
+
+
+def test_gaussian_rational_inverse():
+    for z in (GaussianRational(3), GaussianRational(Fraction(-2, 7)),
+              GaussianRational(0, 5), GaussianRational(Fraction(1, 2), -3)):
+        assert z * z.inverse() == GaussianRational(1)
+    for zero in (GaussianRational(0), GaussianRational(Fraction(0), Fraction(0))):
+        with pytest.raises(ZeroDivisionError):
+            zero.inverse()
+
+
+def test_gaussian_rational_keeps_given_fractions():
+    half = Fraction(1, 2)
+    z = GaussianRational(half, half)
+    assert z.re is half and z.im is half
+    assert type(GaussianRational(2).re) is Fraction
+    assert type(GaussianRational(2).im) is Fraction
 
 
 def test_gaussian_rational_hash_eq():
@@ -97,6 +121,7 @@ def test_mul_examples():
     assert LaurentGerm.monomial(2) * LaurentGerm.monomial(3) == LaurentGerm.monomial(5)
     assert germ("t + O(t^6)") * germ("t + O(t^6)") == germ("t^2 + O(t^7)")
     assert germ("1 + t") * germ("1 - t") == germ("1 - t^2")
+    assert (germ("1 + t^2") * germ("1 + t^3")).exponents() == [0, 2, 3, 5]
 
 
 def test_mul_zero_absorbs():
@@ -123,6 +148,42 @@ def test_pow_examples():
     assert germ("1 + t") ** 2 == germ("1 + 2*t + t^2")
     assert (germ("t + O(t^5)") ** 0) == LaurentGerm.one()
     assert (germ("t + O(t^5)") ** 0).tail_bound is None
+
+
+@pytest.mark.parametrize(
+    "f, n, expected",
+    [
+        (LaurentGerm.tail_only(3), 4, LaurentGerm.tail_only(12)),
+        (LaurentGerm.tail_only(3), 1, LaurentGerm.tail_only(3)),
+        (LaurentGerm.tail_only(3), 0, LaurentGerm.one()),
+        (LaurentGerm.zero(), 0, LaurentGerm.one()),
+        (LaurentGerm.zero(), 5, LaurentGerm.zero()),
+        # (1+i)^4 = -4
+        (germ("(1,1)*t^2"), 4, germ("-4*t^8")),
+        # t^3 (i + t)^3 = -i t^3 - 3 t^4 + 3i t^5 + t^6, known below t^(2*1 + 4)
+        (germ("(0,1)*t + t^2 + O(t^4)"), 3, germ("(0,-1)*t^3 - 3*t^4 + (0,3)*t^5 + O(t^6)")),
+        # t^-6 (1 + t^2)^3, known below t^(2*(-2) + 2)
+        (germ("t^-2 + 1 + O(t^2)"), 3, germ("t^-6 + 3*t^-4 + O(t^-2)")),
+        (germ("t^-1 - 2*t"), 2, germ("t^-2 - 4 + 4*t^2")),
+        # a truncated monomial, and germs in t^4 and t^3 only
+        (germ("3*t + O(t^90000)"), 50, germ(f"{3 ** 50}*t^50 + O(t^90049)")),
+        (germ("t^2 + t^6 + O(t^11)"), 2, germ("t^4 + 2*t^8 + t^12 + O(t^13)")),
+        (germ("1 - t^3"), 3, germ("1 - 3*t^3 + 3*t^6 - t^9")),
+    ],
+)
+def test_pow_special_cases(f, n, expected):
+    assert f ** n == expected
+
+
+def test_pow_makes_no_germ_products(monkeypatch):
+    f = germ("2*t + (1,1)*t^3 - 1/3*t^4 + O(t^9)")
+    expected = f * f * f * f * f
+
+    def refuse(self, other):
+        raise AssertionError("germ product inside __pow__")
+
+    monkeypatch.setattr(LaurentGerm, "__mul__", refuse)
+    assert f ** 5 == expected
 
 
 def test_pow_rejects_negative():
@@ -275,20 +336,46 @@ def test_ring_laws_hold_below_tails(f, g, h):
     assert_equal_below(lhs2, rhs2, bound2)
 
 
-@given(tailed_germs, st.integers(0, 6))
-@settings(max_examples=150)
+@given(tailed_germs, st.integers(0, 24))
+@settings(max_examples=150, deadline=None)  # the iterated product is the slow side
 def test_pow_matches_iterated_mul(f, n):
-    by_pow = f ** n
     by_mul = LaurentGerm.one()
     for _ in range(n):
         by_mul = by_mul * f
-    bound = min(
-        (b for b in (by_pow.tail_bound, by_mul.tail_bound) if b is not None),
-        default=None,
-    )
-    assert_equal_below(by_pow, by_mul, bound)
-    if f.tail_bound is None:
-        assert by_pow == by_mul
+    # equality compares the tail bounds as well as the stored terms
+    assert f ** n == by_mul
+    assert f ** 1 == f
+
+
+nonzero_pairs = st.tuples(
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    st.fractions(min_value=-2, max_value=2, max_denominator=4),
+).filter(lambda c: c != (0, 0))
+
+
+@st.composite
+def narrow_germ_data(draw):
+    """Plain (terms, tail) data for a germ of width <= 2, exact or truncated
+    (wider exact germs make sympy's side take seconds at n = 142)."""
+    lo = draw(st.integers(-3, 5))
+    offsets = draw(st.dictionaries(st.integers(1, 2), nonzero_pairs, max_size=2))
+    terms = {lo: draw(nonzero_pairs)} | {lo + j: c for j, c in offsets.items()}
+    tail = draw(st.one_of(st.none(), st.integers(lo + 1, lo + 8)))
+    if tail is not None:
+        terms = {e: c for e, c in terms.items() if e < tail}
+    return terms, tail
+
+
+@given(narrow_germ_data(), st.integers(1, 142))
+@settings(max_examples=60, deadline=None)
+def test_pow_matches_sympy_truncated_power(data, n):
+    terms, tail = data
+    f = LaurentGerm({e: GaussianRational(re, im) for e, (re, im) in terms.items()}, tail)
+    power = f ** n
+    want, want_tail = sympy_truncated_power(terms, tail, n)
+    assert {e: (c.re, c.im) for e, c in power.items()} == want
+    assert power.tail_bound == want_tail
+    assert all(type(c.re) is Fraction and type(c.im) is Fraction for _, c in power.items())
 
 
 @given(exact_germs, exact_germs)
