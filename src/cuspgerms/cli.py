@@ -29,6 +29,8 @@ from .surgery import (
 
 _AXIS_NAME = {1: "z1", 2: "z2"}
 
+_MAX_TABLE_BOUND = 10**6  # largest `semigroup info` bound; its table has bound + 1 rows
+
 
 def _jsonable(value: Any) -> Any:
     if isinstance(value, Decision):
@@ -116,6 +118,8 @@ def _cmd_semigroup_info(args: argparse.Namespace) -> dict[str, Any]:
     bound = args.bound if args.bound is not None else s.conductor() + 1
     if bound < 0:
         raise ValueError(f"membership bound must be >= 0, got {bound}")
+    if bound > _MAX_TABLE_BOUND:
+        raise ValueError(f"membership bound must be <= {_MAX_TABLE_BOUND}, got {bound}")
     members: list[int] = []
     gaps: list[int] = []
     for n in range(bound + 1):
@@ -139,7 +143,6 @@ def _cmd_curve_analyze(args: argparse.Namespace) -> dict[str, Any]:
     rado = curve.rado_germ()
     germ = parse_germ(args.germ) if args.germ is not None else rado.pullback
     decision = curve.is_holomorphic_at_cusp(germ)
-    witness = curve.holomorphy_witness(germ)
     cover = curve.covering_degree()
     results: dict[str, Any] = {
         "curve": curve.spec_str(),
@@ -152,7 +155,7 @@ def _cmd_curve_analyze(args: argparse.Namespace) -> dict[str, Any]:
         },
         "weaklyHolomorphic": curve.is_weakly_holomorphic(germ),
         "decision": decision,
-        "witnessExponent": witness,
+        "witnessExponent": decision.witness,
         "minPower": _attempt(lambda: curve.min_power(germ), findings, "minPower"),
         "stablePower": _attempt(lambda: curve.stable_power(germ), findings, "stablePower"),
         "orderOfFlatness": _attempt(
@@ -220,6 +223,7 @@ def _cmd_rado_witness(args: argparse.Namespace) -> dict[str, Any]:
     site = glued.site(site_index)
     germ = section.germ_at(site_index)
     power = germ ** args.n
+    decision = site.curve.is_holomorphic_at_cusp(power)
     return {
         "command": "rado witness",
         "inputs": {"maxK": args.max_k, "n": args.n},
@@ -228,8 +232,8 @@ def _cmd_rado_witness(args: argparse.Namespace) -> dict[str, Any]:
             "curve": site.curve.spec_str(),
             "germ": germ,
             "powerGerm": power,
-            "decision": site.curve.is_holomorphic_at_cusp(power),
-            "witnessExponent": site.curve.holomorphy_witness(power),
+            "decision": decision,
+            "witnessExponent": decision.witness,
         },
         "findings": [
             "every power has a refusing site, so no single power is"

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import UndecidableAtTruncation
 from .germ import Decision, LaurentGerm
@@ -117,18 +117,38 @@ class CuspCurve:
 
     def holomorphy_witness(self, f: LaurentGerm) -> int | None:
         """Smallest stored exponent proving non-holomorphy, if any."""
-        s = self.semigroup
-        for e in f.exponents():
-            if not s.contains(e):
-                return e
-        return None
+        return self.is_holomorphic_at_cusp(f).witness
+
+    def _power_decisions(self, f: LaurentGerm) -> Iterator[Decision]:
+        """Decisions for f, f^2, ..., each power taken mod t^c (c the conductor).
+
+        With exponents >= 0, the terms of a product below t^c, and its tail cut
+        at c, depend only on its factors mod t^c; a tail-only f with T < 0 has
+        powers O(t^(nT)), nT < c, that the cap leaves alone.  So the n-th
+        power here is f^n + O(t^c).  Every gap lies below c and every tail from
+        c on passes, so each decision, witness and reason included, is f^n's.
+        """
+        mod_c = LaurentGerm.tail_only(self.semigroup.conductor())
+        f = power = f + mod_c
+        while True:
+            yield self.is_holomorphic_at_cusp(power)
+            power = power * f + mod_c
+
+    def _is_gap_led_unit(self, f: LaurentGerm) -> bool:
+        """f stores c0 + c1*t^e1 + (higher) with e1 a gap, so no power is
+        holomorphic: every other product of n terms lands at 0 or above e1,
+        so f^n stores t^e1 with coefficient n*c1*c0^(n-1) != 0, below its
+        tail (f's, as lo = 0)."""
+        exps = f.exponents()
+        return len(exps) > 1 and exps[0] == 0 and not self.semigroup.contains(exps[1])
 
     def min_power(self, f: LaurentGerm) -> int:
         """Smallest n >= 1 with f^n holomorphic at the cusp.
 
         The search stops at the conductor: beyond it a germ vanishing at the
         cusp is always holomorphic, and a unit that has not become
-        holomorphic by then never will through this scan.
+        holomorphic by then never will through this scan.  A gap-led unit
+        needs no scan.
         """
         if f.is_zero():
             raise ValueError("zero germ has no minimal holomorphic power")
@@ -136,14 +156,12 @@ class CuspCurve:
             raise ValueError("germ is not weakly holomorphic")
         cap = self.semigroup.conductor()
         unknown_at: int | None = None
-        power = f
-        for n in range(1, cap + 1):
-            verdict = self.is_holomorphic_at_cusp(power)
-            if verdict.is_yes:
-                return n
-            if verdict.is_unknown and unknown_at is None:
-                unknown_at = n
-            power = power * f
+        if not self._is_gap_led_unit(f):
+            for n, verdict in zip(range(1, cap + 1), self._power_decisions(f)):
+                if verdict.is_yes:
+                    return n
+                if verdict.is_unknown and unknown_at is None:
+                    unknown_at = n
         if unknown_at is not None:
             raise UndecidableAtTruncation(
                 f"power {unknown_at} undecidable at the germ's truncation"
@@ -151,7 +169,8 @@ class CuspCurve:
         raise ValueError(f"no power up to the conductor {cap} is holomorphic")
 
     def stable_power(self, f: LaurentGerm) -> int:
-        """Smallest N such that every power f^n with n >= N is holomorphic."""
+        """Smallest N such that every power f^n with n >= N is holomorphic;
+        a gap-led unit needs no scan."""
         if f.is_zero():
             raise ValueError("zero germ has no stable power")
         lo = f.lowest_exponent()
@@ -163,17 +182,13 @@ class CuspCurve:
         if lo >= 1:
             # every exponent of f^n is >= n, so powers from the conductor on
             # are holomorphic; only the window below it needs scanning
-            last_no = 0
-            unknowns: list[int] = []
-            power = f
-            for n in range(1, c):
-                verdict = self.is_holomorphic_at_cusp(power)
+            last_no = last_unknown = 0
+            for n, verdict in zip(range(1, c), self._power_decisions(f)):
                 if verdict.is_no:
                     last_no = n
                 elif verdict.is_unknown:
-                    unknowns.append(n)
-                power = power * f
-            if any(n > last_no for n in unknowns):
+                    last_unknown = n
+            if last_unknown > last_no:
                 raise UndecidableAtTruncation(
                     "undecided powers above the last certain failure"
                 )
@@ -184,22 +199,20 @@ class CuspCurve:
         cap = c + self.p * self.q
         last_bad = 0
         saw_unknown = False
-        power = f
-        for n in range(1, cap + 1):
-            verdict = self.is_holomorphic_at_cusp(power)
-            if verdict.is_yes:
-                candidate = last_bad + 1
-                if n >= 2 * candidate - 1:
-                    if saw_unknown:
-                        raise UndecidableAtTruncation(
-                            "undecided powers below the certified run"
-                        )
-                    return candidate
-            else:
-                if verdict.is_unknown:
-                    saw_unknown = True
-                last_bad = n
-            power = power * f
+        if not self._is_gap_led_unit(f):
+            for n, verdict in zip(range(1, cap + 1), self._power_decisions(f)):
+                if verdict.is_yes:
+                    candidate = last_bad + 1
+                    if n >= 2 * candidate - 1:
+                        if saw_unknown:
+                            raise UndecidableAtTruncation(
+                                "undecided powers below the certified run"
+                            )
+                        return candidate
+                else:
+                    if verdict.is_unknown:
+                        saw_unknown = True
+                    last_bad = n
         if saw_unknown:
             raise UndecidableAtTruncation(
                 f"no certified run of holomorphic powers up to {cap}"
@@ -301,19 +314,15 @@ class RootBoundReport:
     worst_ratio: float
 
 
+@dataclass(frozen=True)
 class WeierstrassPoly:
     """(T^{d/g} - z^{e/g})^g, the monic degree-d polynomial in T vanishing on
     the graph T = t^e over the base z = t^d, where g = gcd(d, e)."""
 
-    __slots__ = ("degree", "inner_degree", "z_exponent", "multiplicity", "_coeffs")
-
-    def __init__(self, degree: int, inner_degree: int, z_exponent: int, multiplicity: int,
-                 coeffs: dict[int, dict[int, int]]):
-        self.degree = degree
-        self.inner_degree = inner_degree
-        self.z_exponent = z_exponent
-        self.multiplicity = multiplicity
-        self._coeffs = coeffs
+    degree: int
+    inner_degree: int
+    z_exponent: int
+    multiplicity: int
 
     @classmethod
     def for_monomial(cls, d: int, e: int) -> "WeierstrassPoly":
@@ -324,25 +333,23 @@ class WeierstrassPoly:
         if e < 1:
             raise ValueError(f"germ exponent must be >= 1, got {e}")
         g = math.gcd(d, e)
-        m = d // g
-        s = e // g
-        coeffs: dict[int, dict[int, int]] = {}
-        for i in range(1, g + 1):
-            coeffs[m * i] = {s * i: (-1) ** i * math.comb(g, i)}
-        return cls(degree=d, inner_degree=m, z_exponent=s, multiplicity=g, coeffs=coeffs)
+        return cls(degree=d, inner_degree=d // g, z_exponent=e // g, multiplicity=g)
 
     def coefficient_poly(self, j: int) -> dict[int, int]:
-        """a_j as a map z-power -> integer coefficient, for W = T^d + sum a_j T^(d-j)."""
-        if j == 0:
-            return {0: 1}
-        return dict(self._coeffs.get(j, {}))
+        """a_j as a map z-power -> integer coefficient, for W = T^d + sum a_j T^(d-j).
+
+        By the binomial theorem only j = m*i with 0 <= i <= g is nonzero:
+        a_(m*i) = (-1)^i * C(g, i) * z^(s*i), for m = d/g and s = e/g.
+        """
+        i, r = divmod(j, self.inner_degree)
+        if r or not 0 <= i <= self.multiplicity:
+            return {}
+        return {self.z_exponent * i: (-1) ** i * math.comb(self.multiplicity, i)}
 
     def coefficients_at(self, z: complex) -> list[complex]:
         """[1, a_1(z), ..., a_d(z)], highest T-power first."""
-        out: list[complex] = [1.0 + 0j]
-        for j in range(1, self.degree + 1):
-            out.append(sum(c * z**k for k, c in self._coeffs.get(j, {}).items()))
-        return out
+        return [1.0 + 0j] + [sum(c * z**k for k, c in self.coefficient_poly(j).items())
+                             for j in range(1, self.degree + 1)]
 
     def annihilates_pullback(self) -> bool:
         """Substitute z = t^d, T = t^e and check exact cancellation."""
@@ -363,31 +370,18 @@ class WeierstrassPoly:
             return base
         return f"({base})^{self.multiplicity}"
 
-    def root_bound_check(
-        self,
-        moduli: list[float] | None = None,
-        angles: int = 4,
-    ) -> RootBoundReport:
-        """Numeric check that roots satisfy |T| <= M * |z|^(1/d) near 0.
+    def root_bound_check(self, moduli: list[float] | None = None) -> RootBoundReport:
+        """Check that roots satisfy |T| <= M * |z|^(1/d) near 0.
 
-        M is fitted on the coarser (larger |z|) half of the samples and the
-        finer half must stay below it, up to float fuzz.
+        Every root of (T^(d/g) - z^(e/g))^g has |T| = |z|^(e/d), so the ratio
+        at modulus r is r^((e-1)/d), whatever the angle.  M is fitted on the
+        coarser (larger |z|) half of the moduli and the finer half must stay
+        below it, up to float fuzz.
         """
-        import numpy as np
-
-        d = self.degree
+        exponent = (self.z_exponent * self.multiplicity - 1) / self.degree
         if moduli is None:
             moduli = [10.0 ** (-k / 2.0) for k in range(4, 13)]  # 1e-2 .. 1e-6
-        moduli = sorted(moduli, reverse=True)
-        ratios: list[float] = []
-        for r in moduli:
-            worst = 0.0
-            for a in range(angles):
-                z = r * complex(math.cos(2 * math.pi * a / angles),
-                                math.sin(2 * math.pi * a / angles))
-                roots = np.roots(self.coefficients_at(z))
-                worst = max(worst, float(max(abs(roots))))
-            ratios.append(worst / r ** (1.0 / d))
+        ratios = [r ** exponent for r in sorted(moduli, reverse=True)]
         half = max(1, len(ratios) // 2)
         fitted = max(ratios[:half])
         worst_ratio = max(ratios)

@@ -10,7 +10,7 @@ three-valued (yes / no / unknown) rather than silently wrong.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from math import gcd
@@ -109,6 +109,7 @@ class Decision:
 
     kind: str  # "yes" | "no" | "unknown"
     reason: str | None = None
+    witness: int | None = field(default=None, compare=False)  # "no": first failing exponent
 
     @property
     def is_yes(self) -> bool:
@@ -405,11 +406,11 @@ class LaurentGerm:
         >= T satisfies the predicate; without it a present tail forces an
         unknown verdict.  A stored exponent that fails is decisive no matter
         what the tail hides, since stored coefficients are exact and the
-        tail cannot cancel them.
+        tail cannot cancel them; it is returned as the decision's witness.
         """
         for e in self._terms:
             if not predicate(e):
-                return CERTAINLY_NO
+                return Decision("no", witness=e)
         if self._tail is None:
             return CERTAINLY_YES
         if tail_satisfies is not None and tail_satisfies(self._tail):

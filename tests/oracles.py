@@ -1,18 +1,20 @@
 """Independent oracles used by the tests.
 
 Everything here recomputes library answers from first principles (literal
-enumeration, dynamic programming, floating point) so test expectations do
-not share code paths with the implementation under test.
+enumeration, dynamic programming, floating point, sympy) or by the scans the
+library replaced with closed forms, so test expectations do not share code
+paths with the implementation under test.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from fractions import Fraction
 from random import Random
 
-from cuspgerms import GaussianRational, LaurentGerm
+from cuspgerms import GaussianRational, LaurentGerm, RootBoundReport, UndecidableAtTruncation
 
 
 def brute_contains(p: int, q: int, n: int) -> bool:
@@ -127,6 +129,44 @@ def sympy_truncated_power(
     return result, None if tail is None else (n - 1) * lo + tail
 
 
+def sympy_truncated_product(
+    f: tuple[dict[int, tuple[Fraction, Fraction]], int | None],
+    g: tuple[dict[int, tuple[Fraction, Fraction]], int | None],
+) -> tuple[dict[int, tuple[Fraction, Fraction]], int | None]:
+    """f * g by sympy polynomial multiplication over QQ_I, truncated.
+
+    Each factor is (terms, tail) with nonempty terms mapping exponents to
+    nonzero (re, im) pairs.  A factor's unknown terms start at its tail, so
+    the product is known below min(lo_f + T_g, T_f + lo_g), the bounds that
+    exist; an exact product keeps every term.
+    """
+    from sympy.polys.domains import QQ, QQ_I
+    from sympy.polys.rings import ring
+
+    def qq(v: Fraction):
+        return QQ(v.numerator, v.denominator)
+
+    def fraction(v) -> Fraction:
+        return Fraction(int(v.numerator), int(v.denominator))
+
+    (f_terms, f_tail), (g_terms, g_tail) = f, g
+    f_lo, g_lo = min(f_terms), min(g_terms)
+    poly_ring, _ = ring("x", QQ_I)
+
+    def poly(terms, lo):
+        return poly_ring({(e - lo,): QQ_I(qq(re), qq(im)) for e, (re, im) in terms.items()})
+
+    bounds = [lo + tail for lo, tail in ((f_lo, g_tail), (g_lo, f_tail)) if tail is not None]
+    tail = min(bounds) if bounds else None
+    product = poly(f_terms, f_lo) * poly(g_terms, g_lo)
+    result = {
+        f_lo + g_lo + k: (fraction(c.x), fraction(c.y))
+        for (k,), c in product.items()
+        if c and (tail is None or f_lo + g_lo + k < tail)
+    }
+    return result, tail
+
+
 def numeric_weierstrass_coeffs(d: int, e: int, z: complex) -> list[complex]:
     """Monic coefficients of prod_j (T - t_j^e) over the fiber t_j^d = z,
     highest degree first, via numpy's polynomial-from-roots."""
@@ -135,6 +175,122 @@ def numeric_weierstrass_coeffs(d: int, e: int, z: complex) -> list[complex]:
     root_of_z = z ** (1.0 / d)
     fiber = [root_of_z * cmath.exp(2j * cmath.pi * j / d) for j in range(d)]
     return list(np.poly([t ** e for t in fiber]))
+
+
+def root_bound_by_sampling(poly, moduli: list[float] | None = None,
+                           angles: int = 4) -> RootBoundReport:
+    """`WeierstrassPoly.root_bound_check` by sampling: the largest |root| that
+    numpy finds over a few angles at each modulus, against |z|^(1/d).
+
+    np.roots perturbs a root of multiplicity g by about eps^(1/g) relative to
+    its size, so comparisons with the closed form need that tolerance.
+    """
+    import numpy as np
+
+    d = poly.degree
+    if moduli is None:
+        moduli = [10.0 ** (-k / 2.0) for k in range(4, 13)]  # 1e-2 .. 1e-6
+    moduli = sorted(moduli, reverse=True)
+    ratios: list[float] = []
+    for r in moduli:
+        worst = 0.0
+        for a in range(angles):
+            z = r * complex(math.cos(2 * math.pi * a / angles),
+                            math.sin(2 * math.pi * a / angles))
+            roots = np.roots(poly.coefficients_at(z))
+            worst = max(worst, float(max(abs(roots))))
+        ratios.append(worst / r ** (1.0 / d))
+    half = max(1, len(ratios) // 2)
+    fitted = max(ratios[:half])
+    worst_ratio = max(ratios)
+    stable = all(rat <= fitted * (1.0 + 1e-6) for rat in ratios[half:])
+    return RootBoundReport(constant=fitted, stable=stable, worst_ratio=worst_ratio)
+
+
+def root_bound_tolerance(poly) -> float:
+    """Relative tolerance for comparing `root_bound_by_sampling` with the
+    closed form: a few eps^(1/g) for multiplicity g, and 1e-12 at least."""
+    return 10 * sys.float_info.epsilon ** (1 / poly.multiplicity) + 1e-12
+
+
+def min_power_scan(curve, f: LaurentGerm) -> int:
+    """`CuspCurve.min_power` by multiplying full, uncapped powers of f."""
+    if f.is_zero():
+        raise ValueError("zero germ has no minimal holomorphic power")
+    if curve.is_weakly_holomorphic(f).is_no:
+        raise ValueError("germ is not weakly holomorphic")
+    cap = curve.semigroup.conductor()
+    unknown_at: int | None = None
+    power = f
+    for n in range(1, cap + 1):
+        verdict = curve.is_holomorphic_at_cusp(power)
+        if verdict.is_yes:
+            return n
+        if verdict.is_unknown and unknown_at is None:
+            unknown_at = n
+        power = power * f
+    if unknown_at is not None:
+        raise UndecidableAtTruncation(
+            f"power {unknown_at} undecidable at the germ's truncation"
+        )
+    raise ValueError(f"no power up to the conductor {cap} is holomorphic")
+
+
+def stable_power_scan(curve, f: LaurentGerm) -> int:
+    """`CuspCurve.stable_power` by multiplying full, uncapped powers of f."""
+    if f.is_zero():
+        raise ValueError("zero germ has no stable power")
+    lo = f.lowest_exponent()
+    if lo is None:
+        raise UndecidableAtTruncation("tail-only germ: lowest exponent unknown")
+    if lo < 0:
+        raise ValueError("germ is not weakly holomorphic")
+    c = curve.semigroup.conductor()
+    if lo >= 1:
+        # every exponent of f^n is >= n, so powers from the conductor on
+        # are holomorphic; only the window below it needs scanning
+        last_no = 0
+        unknowns: list[int] = []
+        power = f
+        for n in range(1, c):
+            verdict = curve.is_holomorphic_at_cusp(power)
+            if verdict.is_no:
+                last_no = n
+            elif verdict.is_unknown:
+                unknowns.append(n)
+            power = power * f
+        if any(n > last_no for n in unknowns):
+            raise UndecidableAtTruncation(
+                "undecided powers above the last certain failure"
+            )
+        return last_no + 1
+    # unit at the cusp: a full run of holomorphic powers N..2N-1 settles
+    # all n >= N, because products of holomorphic germs stay supported
+    # in the semigroup
+    cap = c + curve.p * curve.q
+    last_bad = 0
+    saw_unknown = False
+    power = f
+    for n in range(1, cap + 1):
+        verdict = curve.is_holomorphic_at_cusp(power)
+        if verdict.is_yes:
+            candidate = last_bad + 1
+            if n >= 2 * candidate - 1:
+                if saw_unknown:
+                    raise UndecidableAtTruncation(
+                        "undecided powers below the certified run"
+                    )
+                return candidate
+        else:
+            if verdict.is_unknown:
+                saw_unknown = True
+            last_bad = n
+        power = power * f
+    if saw_unknown:
+        raise UndecidableAtTruncation(
+            f"no certified run of holomorphic powers up to {cap}"
+        )
+    raise ValueError(f"no stable power found up to {cap}")
 
 
 def dominant_axis_by_sampling(p: int, q: int, radii: list[float] | None = None) -> int:

@@ -31,6 +31,8 @@ from oracles import (
     loglog_flatness_slope,
     numeric_weierstrass_coeffs,
     random_vanishing_germ,
+    root_bound_by_sampling,
+    root_bound_tolerance,
 )
 
 
@@ -200,6 +202,10 @@ def test_c08_weierstrass_polynomials():
                 assert worst <= 1e-9, (d, e, worst)
                 report = poly.root_bound_check()
                 assert report.stable, (d, e, report)
+                sampled = root_bound_by_sampling(poly)
+                tol = root_bound_tolerance(poly)
+                assert abs(report.constant - sampled.constant) <= tol * report.constant
+                assert abs(report.worst_ratio - sampled.worst_ratio) <= tol * report.worst_ratio
         assert CuspCurve(3, 4).weierstrass(2).factored_str() == "T^3 - z^2"
 
 

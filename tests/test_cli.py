@@ -1,9 +1,16 @@
 """Command-line surface: grammars, exit codes, JSON schema, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import cuspgerms
+from cuspgerms import NumericalSemigroup
 from cuspgerms.cli import main
 
 
@@ -74,6 +81,56 @@ def test_report_envelope_fields(capsys):
 def test_semigroup_bound_flag(capsys):
     report = run_json(capsys, "semigroup", "info", "--p", "3", "--q", "4", "--bound", "8")
     assert report["results"]["membersUpToBound"] == [0, 3, 4, 6, 7, 8]
+
+
+def test_semigroup_bound_limit_is_domain_error(capsys, monkeypatch):
+    def no_table(self, n):
+        raise AssertionError("an oversized membership table was started")
+
+    monkeypatch.setattr(NumericalSemigroup, "contains", no_table)
+    for argv, bound in ((["--p", "100000", "--q", "100001"], 99999 * 100000 + 1),
+                        (["--p", "3", "--q", "5", "--bound", "1000001"], 1000001)):
+        for flags in ([], ["--json"]):
+            code, out, err = run(capsys, *flags, "semigroup", "info", *argv)
+            assert code == 1
+            assert out == ""
+            assert err == f"error: membership bound must be <= 1000000, got {bound}\n"
+
+
+def test_semigroup_bound_at_limit_is_accepted(monkeypatch):
+    class TableStarted(Exception):
+        pass
+
+    def stop(self, n):
+        raise TableStarted
+
+    monkeypatch.setattr(NumericalSemigroup, "contains", stop)
+    with pytest.raises(TableStarted):
+        main(["semigroup", "info", "--p", "3", "--q", "5", "--bound", "1000000"])
+
+
+def test_runtime_needs_no_numpy():
+    script = textwrap.dedent("""
+        import sys
+        sys.modules["numpy"] = None  # every import of numpy now fails
+        from cuspgerms import CuspCurve
+        from cuspgerms.cli import main
+        for argv in (
+            ["curve", "analyze", "--p", "3", "--q", "4", "--germ", "1 + t + O(t^9)"],
+            ["curve", "analyze", "--p", "2", "--q", "5", "--germ", "t^2"],
+            ["--json", "rado", "witness", "--max-k", "12", "--n", "5"],
+            ["semigroup", "info", "--p", "3", "--q", "5"],
+        ):
+            assert main(argv) == 0, argv
+        assert CuspCurve(3, 4).weierstrass(2).root_bound_check().stable
+    """)
+    src = str(Path(cuspgerms.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert "witnessExponent" in result.stdout
 
 
 def test_curve_analyze_report(capsys):

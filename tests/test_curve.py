@@ -9,14 +9,20 @@ from hypothesis import strategies as st
 
 from cuspgerms import (
     CuspCurve,
+    GaussianRational,
     LaurentGerm,
     UndecidableAtTruncation,
+    WeierstrassPoly,
     parse_germ,
 )
 from oracles import (
     dominant_axis_by_sampling,
     loglog_flatness_slope,
+    min_power_scan,
     numeric_weierstrass_coeffs,
+    root_bound_by_sampling,
+    root_bound_tolerance,
+    stable_power_scan,
 )
 
 T = LaurentGerm.monomial(1)
@@ -187,6 +193,75 @@ def test_stable_power_unit_with_gap():
     # 1 + t has failing powers forever; the scan reports the cap was hit
     with pytest.raises(ValueError):
         c.stable_power(parse_germ("1 + t"))
+
+
+def test_gap_led_unit_answered_without_a_scan(monkeypatch):
+    def no_products(self, other):
+        raise AssertionError("a gap-led unit needs no germ products")
+
+    monkeypatch.setattr(LaurentGerm, "__mul__", no_products)
+    c = CuspCurve(101, 102)
+    f = parse_germ("1 + t + O(t^200)")
+    with pytest.raises(ValueError) as min_exc:
+        c.min_power(f)
+    assert str(min_exc.value) == "no power up to the conductor 10100 is holomorphic"
+    with pytest.raises(ValueError) as stable_exc:
+        c.stable_power(f)
+    assert str(stable_exc.value) == "no stable power found up to 20402"
+    # the certificate looks at the exponent after 0, wherever the tail is
+    for text in ("3 - 1/2*t^2 + t^3", "(1,1) + (0,2)*t^4 + O(t^5)"):
+        with pytest.raises(ValueError, match="no stable power found up to 59"):
+            CuspCurve(5, 7).stable_power(parse_germ(text))
+
+
+def _outcome(fn, curve, f):
+    """The value, or the exception's type and message."""
+    try:
+        return fn(curve, f)
+    except (ValueError, UndecidableAtTruncation) as exc:
+        return type(exc), str(exc)
+
+
+SMALL_CURVES = [CuspCurve(p, q) for p, q in
+                [(2, 3), (2, 5), (3, 4), (3, 5), (4, 5), (2, 7), (3, 7)]]
+pairs = st.tuples(
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.one_of(st.just(0), st.fractions(min_value=-2, max_value=2, max_denominator=3)),
+).filter(lambda c: c != (0, 0))
+
+
+@st.composite
+def curve_and_germ(draw):
+    """A small curve and a germ on it: tail-only (negative or not), vanishing,
+    or a unit led by a gap or by a member, exact or truncated, with Gaussian
+    coefficients."""
+    curve = draw(st.sampled_from(SMALL_CURVES))
+    c = curve.semigroup.conductor()
+    kind = draw(st.sampled_from(["tail", "vanishing", "gap-led", "member-led", "negative"]))
+    if kind == "tail":
+        return curve, LaurentGerm.tail_only(draw(st.integers(-4, c + 3)))
+    if kind in ("gap-led", "member-led"):
+        want_member = kind == "member-led"
+        firsts = [e for e in range(1, c + 4) if curve.semigroup.contains(e) == want_member]
+        terms = {0: draw(pairs), draw(st.sampled_from(firsts)): draw(pairs)}
+    else:
+        terms = {draw(st.integers(1, 8) if kind == "vanishing" else st.integers(-3, -1)):
+                 draw(pairs)}
+    lo, first = min(terms), max(terms)
+    extra = draw(st.dictionaries(st.integers(first + 1, first + 4), pairs, max_size=3))
+    terms |= extra
+    tail = draw(st.one_of(st.none(), st.integers(first + 1, first + c + 4)))
+    germ = LaurentGerm({e: GaussianRational(re, im) for e, (re, im) in terms.items()}, tail)
+    assert germ.lowest_exponent() == lo
+    return curve, germ
+
+
+@given(curve_and_germ())
+@settings(max_examples=200, deadline=None)  # the uncapped scans are the slow side
+def test_capped_power_scans_match_uncapped_scans(data):
+    curve, f = data
+    assert _outcome(CuspCurve.min_power, curve, f) == _outcome(min_power_scan, curve, f)
+    assert _outcome(CuspCurve.stable_power, curve, f) == _outcome(stable_power_scan, curve, f)
 
 
 def test_stable_power_bounds_all_later_powers():
@@ -366,7 +441,23 @@ def test_weierstrass_annihilates_for_all_small_cases():
 
 
 def test_root_bound_check_is_stable():
-    for d, e in [(2, 1), (3, 2), (5, 3), (4, 6)]:
-        report = CuspCurve(d, _coprime_partner(d)).weierstrass(e).root_bound_check()
+    for d, e in [(2, 1), (3, 2), (5, 3), (4, 6), (6, 6), (12, 8)]:
+        poly = CuspCurve(d, _coprime_partner(d)).weierstrass(e)
+        report = poly.root_bound_check()
         assert report.stable, (d, e, report)
         assert report.constant > 0
+        sampled = root_bound_by_sampling(poly)
+        assert sampled.stable, (d, e, sampled)
+        tol = root_bound_tolerance(poly)
+        assert abs(report.constant - sampled.constant) <= tol * report.constant, (d, e)
+        assert abs(report.worst_ratio - sampled.worst_ratio) <= tol * report.worst_ratio
+
+
+def test_root_bound_check_closed_form():
+    # roots of T^3 - z^2 have |T| = |z|^(2/3): ratio r^(1/3) at modulus r
+    report = WeierstrassPoly.for_monomial(3, 2).root_bound_check([1e-3, 1e-6, 1e-2])
+    assert report.constant == 1e-2 ** (1 / 3)
+    assert report.worst_ratio == report.constant
+    assert report.stable
+    flat = WeierstrassPoly.for_monomial(4, 1).root_bound_check()  # |T| = |z|^(1/4)
+    assert flat.constant == flat.worst_ratio == 1.0 and flat.stable

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import sympy_truncated_power
+from oracles import sympy_truncated_power, sympy_truncated_product
 
 from cuspgerms import (
     CERTAINLY_NO,
@@ -222,6 +222,17 @@ def test_stored_failure_beats_tail():
     assert d.is_no
 
 
+def test_no_decision_carries_first_failing_exponent():
+    d = germ("t^-3 + t^-1 + t + O(t^5)").exponents_within(lambda e: e >= 0)
+    assert d.witness == -3
+    # the witness is not part of equality, hashing or rendering
+    assert d == CERTAINLY_NO and hash(d) == hash(CERTAINLY_NO)
+    assert str(d) == "CertainlyNo"
+    assert CERTAINLY_YES.witness is None
+    assert germ("t^-1 + O(t^5)").exponents_within(lambda e: e >= 0).witness == -1
+    assert germ("t + O(t^5)").exponents_within(lambda e: e >= 0).witness is None
+
+
 def test_decision_rendering_and_aggregate():
     assert str(CERTAINLY_YES) == "CertainlyYes"
     assert str(CERTAINLY_NO) == "CertainlyNo"
@@ -376,6 +387,30 @@ def test_pow_matches_sympy_truncated_power(data, n):
     assert {e: (c.re, c.im) for e, c in power.items()} == want
     assert power.tail_bound == want_tail
     assert all(type(c.re) is Fraction and type(c.im) is Fraction for _, c in power.items())
+
+
+@st.composite
+def germ_data(draw):
+    """Plain (terms, tail) data for a germ with stored terms, exact or truncated."""
+    lo = draw(st.integers(-5, 10))
+    terms = {lo: draw(nonzero_pairs)}
+    terms |= draw(st.dictionaries(st.integers(lo + 1, lo + 8), nonzero_pairs, max_size=5))
+    tail = draw(st.one_of(st.none(), st.integers(lo + 1, lo + 10)))
+    if tail is not None:
+        terms = {e: c for e, c in terms.items() if e < tail}
+    return terms, tail
+
+
+@given(germ_data(), germ_data())
+@settings(max_examples=150, deadline=None)
+def test_mul_matches_sympy_truncated_product(f_data, g_data):
+    f, g = (LaurentGerm({e: GaussianRational(re, im) for e, (re, im) in terms.items()}, tail)
+            for terms, tail in (f_data, g_data))
+    product = f * g
+    want, want_tail = sympy_truncated_product(f_data, g_data)
+    assert {e: (c.re, c.im) for e, c in product.items()} == want
+    assert product.tail_bound == want_tail
+    assert product.exponents() == sorted(want)
 
 
 @given(exact_germs, exact_germs)
