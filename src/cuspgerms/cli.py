@@ -271,6 +271,8 @@ def _cmd_theorem1_bound(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _cmd_nagata_demo(args: argparse.Namespace) -> dict[str, Any]:
+    if args.max_pow < 1:
+        raise ValueError(f"maxPow must be >= 1, got {args.max_pow}")
     if args.g == "inv":
         g = LaurentObject.monomial(-1)
     else:

@@ -134,34 +134,37 @@ class CuspCurve:
             yield self.is_holomorphic_at_cusp(power)
             power = power * f + mod_c
 
-    def _is_gap_led_unit(self, f: LaurentGerm) -> bool:
-        """f stores c0 + c1*t^e1 + (higher) with e1 a gap, so no power is
-        holomorphic: every other product of n terms lands at 0 or above e1,
-        so f^n stores t^e1 with coefficient n*c1*c0^(n-1) != 0, below its
-        tail (f's, as lo = 0)."""
-        exps = f.exponents()
-        return len(exps) > 1 and exps[0] == 0 and not self.semigroup.contains(exps[1])
-
     def min_power(self, f: LaurentGerm) -> int:
         """Smallest n >= 1 with f^n holomorphic at the cusp.
 
         The search stops at the conductor: beyond it a germ vanishing at the
-        cusp is always holomorphic, and a unit that has not become
-        holomorphic by then never will through this scan.  A gap-led unit
-        needs no scan.
+        cusp is always holomorphic.
+
+        A unit f (one storing t^0) needs no scan: every power f^n decides
+        like f, witness and reason included.  The stored exponents of f^n are
+        sums of f's stored positive exponents, and f^n keeps f's tail T,
+        because its lowest exponent is 0.  If every stored exponent of f is a
+        member, so is every sum of them: f^n is yes, or unknown for the same
+        O(t^T).  Otherwise let e be f's least stored gap.  Every smaller
+        stored exponent is a member, and so is every sum of them, so t^e
+        arises in f^n only as c_e t^e * c_0^(n-1), with coefficient
+        n * c_e * c_0^(n-1) != 0 in characteristic 0: f^n is no, with
+        witness e.
         """
         if f.is_zero():
             raise ValueError("zero germ has no minimal holomorphic power")
         if self.is_weakly_holomorphic(f).is_no:
             raise ValueError("germ is not weakly holomorphic")
         cap = self.semigroup.conductor()
+        # for a unit, power 1 settles the whole scan
+        decisions = ([self.is_holomorphic_at_cusp(f)] if f.lowest_exponent() == 0
+                     else self._power_decisions(f))
         unknown_at: int | None = None
-        if not self._is_gap_led_unit(f):
-            for n, verdict in zip(range(1, cap + 1), self._power_decisions(f)):
-                if verdict.is_yes:
-                    return n
-                if verdict.is_unknown and unknown_at is None:
-                    unknown_at = n
+        for n, verdict in zip(range(1, cap + 1), decisions):
+            if verdict.is_yes:
+                return n
+            if verdict.is_unknown and unknown_at is None:
+                unknown_at = n
         if unknown_at is not None:
             raise UndecidableAtTruncation(
                 f"power {unknown_at} undecidable at the germ's truncation"
@@ -169,8 +172,7 @@ class CuspCurve:
         raise ValueError(f"no power up to the conductor {cap} is holomorphic")
 
     def stable_power(self, f: LaurentGerm) -> int:
-        """Smallest N such that every power f^n with n >= N is holomorphic;
-        a gap-led unit needs no scan."""
+        """Smallest N such that every power f^n with n >= N is holomorphic."""
         if f.is_zero():
             raise ValueError("zero germ has no stable power")
         lo = f.lowest_exponent()
@@ -193,27 +195,13 @@ class CuspCurve:
                     "undecided powers above the last certain failure"
                 )
             return last_no + 1
-        # unit at the cusp: a full run of holomorphic powers N..2N-1 settles
-        # all n >= N, because products of holomorphic germs stay supported
-        # in the semigroup
+        # a unit: every power decides like f (proof in min_power); the
+        # messages keep the c + pq bound of tests/oracles.py::stable_power_scan
+        verdict = self.is_holomorphic_at_cusp(f)
+        if verdict.is_yes:
+            return 1
         cap = c + self.p * self.q
-        last_bad = 0
-        saw_unknown = False
-        if not self._is_gap_led_unit(f):
-            for n, verdict in zip(range(1, cap + 1), self._power_decisions(f)):
-                if verdict.is_yes:
-                    candidate = last_bad + 1
-                    if n >= 2 * candidate - 1:
-                        if saw_unknown:
-                            raise UndecidableAtTruncation(
-                                "undecided powers below the certified run"
-                            )
-                        return candidate
-                else:
-                    if verdict.is_unknown:
-                        saw_unknown = True
-                    last_bad = n
-        if saw_unknown:
+        if verdict.is_unknown:
             raise UndecidableAtTruncation(
                 f"no certified run of holomorphic powers up to {cap}"
             )

@@ -82,7 +82,8 @@ def validate_star(sites: Sequence[Site]) -> bool:
 
 
 class SurgeryCurve:
-    """The open curve with cusp models implanted at sites 2..maxIndex."""
+    """The open curve with cusp models implanted at sites 2..maxIndex, in
+    disjoint disks (`validate_star`)."""
 
     __slots__ = ("sites", "max_index")
 
@@ -93,18 +94,17 @@ class SurgeryCurve:
         indices = [s.index for s in site_list]
         if indices != list(range(2, 2 + len(indices))):
             raise ValueError(f"site indices must be exactly 2..maxIndex, got {indices}")
+        if not validate_star(site_list):
+            raise ValueError("surgery disks overlap")
         self.sites = tuple(site_list)
         self.max_index = indices[-1]
 
     @classmethod
     def build_standard(cls, max_k: int) -> "SurgeryCurve":
-        """Sites 2..max_k in standard position; the disk layout is validated."""
+        """Sites 2..max_k in standard position."""
         if max_k < 2:
             raise ValueError(f"maxK must be >= 2, got {max_k}")
-        curve = cls(Site.standard(k) for k in range(2, max_k + 1))
-        if not validate_star(curve.sites):
-            raise ValueError("surgery disks overlap")  # unreachable for standard layout
-        return curve
+        return cls(Site.standard(k) for k in range(2, max_k + 1))
 
     def site(self, k: int) -> Site:
         if not 2 <= k <= self.max_index:

@@ -97,6 +97,17 @@ def test_semigroup_bound_limit_is_domain_error(capsys, monkeypatch):
             assert err == f"error: membership bound must be <= 1000000, got {bound}\n"
 
 
+def test_nagata_max_pow_below_one_is_domain_error(capsys):
+    for g in ("inv", "expinv"):
+        for max_pow in ("0", "-3"):
+            for flags in ([], ["--json"]):
+                code, out, err = run(capsys, *flags, "nagata", "demo", "--g", g,
+                                     "--max-pow", max_pow)
+                assert code == 1
+                assert out == ""
+                assert err == f"error: maxPow must be >= 1, got {max_pow}\n"
+
+
 def test_semigroup_bound_at_limit_is_accepted(monkeypatch):
     class TableStarted(Exception):
         pass

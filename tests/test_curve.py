@@ -212,6 +212,24 @@ def test_gap_led_unit_answered_without_a_scan(monkeypatch):
     for text in ("3 - 1/2*t^2 + t^3", "(1,1) + (0,2)*t^4 + O(t^5)"):
         with pytest.raises(ValueError, match="no stable power found up to 59"):
             CuspCurve(5, 7).stable_power(parse_germ(text))
+    # a unit led by a member but carrying a later gap, an undecidable unit
+    # and a member-only unit are answered from f's own decision as well
+    c = CuspCurve(31, 32)
+    f = parse_germ("1 + t^31 + t^33 + O(t^2000)")
+    with pytest.raises(ValueError, match="^no power up to the conductor 930 is holomorphic$"):
+        c.min_power(f)
+    with pytest.raises(ValueError, match="^no stable power found up to 1922$"):
+        c.stable_power(f)
+    f = parse_germ("1 + t^31 + t^62")
+    assert c.min_power(f) == c.stable_power(f) == 1
+    c = CuspCurve(101, 102)
+    f = parse_germ("1 + t^101 + O(t^200)")
+    with pytest.raises(UndecidableAtTruncation,
+                       match="^power 1 undecidable at the germ's truncation$"):
+        c.min_power(f)
+    with pytest.raises(UndecidableAtTruncation,
+                       match="^no certified run of holomorphic powers up to 20402$"):
+        c.stable_power(f)
 
 
 def _outcome(fn, curve, f):
@@ -231,13 +249,13 @@ pairs = st.tuples(
 
 
 @st.composite
-def curve_and_germ(draw):
+def curve_and_germ(draw, kinds=("tail", "vanishing", "gap-led", "member-led", "negative")):
     """A small curve and a germ on it: tail-only (negative or not), vanishing,
     or a unit led by a gap or by a member, exact or truncated, with Gaussian
     coefficients."""
     curve = draw(st.sampled_from(SMALL_CURVES))
     c = curve.semigroup.conductor()
-    kind = draw(st.sampled_from(["tail", "vanishing", "gap-led", "member-led", "negative"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "tail":
         return curve, LaurentGerm.tail_only(draw(st.integers(-4, c + 3)))
     if kind in ("gap-led", "member-led"):
@@ -262,6 +280,17 @@ def test_capped_power_scans_match_uncapped_scans(data):
     curve, f = data
     assert _outcome(CuspCurve.min_power, curve, f) == _outcome(min_power_scan, curve, f)
     assert _outcome(CuspCurve.stable_power, curve, f) == _outcome(stable_power_scan, curve, f)
+
+
+@given(curve_and_germ(kinds=("gap-led", "member-led")))
+@settings(max_examples=100)
+def test_every_power_of_a_unit_decides_like_the_unit(data):
+    curve, f = data
+    decision = curve.is_holomorphic_at_cusp(f)
+    for n in range(1, 9):
+        power = curve.is_holomorphic_at_cusp(f ** n)
+        assert power == decision
+        assert power.witness == decision.witness  # not part of ==
 
 
 def test_stable_power_bounds_all_later_powers():

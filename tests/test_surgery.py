@@ -113,6 +113,15 @@ def test_sites_must_be_consecutive():
         SurgeryCurve([Site.standard(3)])
 
 
+def test_surgery_curve_rejects_overlapping_disks():
+    for second in (0, Fraction(1, 2), Fraction(2, 3)):  # equal, overlapping, touching
+        with pytest.raises(ValueError, match="^surgery disks overlap$"):
+            SurgeryCurve([Site(2, center=0), Site(3, center=second)])
+    # a custom layout whose disks are disjoint is accepted
+    x = SurgeryCurve([Site(2, center=1), Site(3, center=0), Site(4, center=-1)])
+    assert x.max_index == 4
+
+
 # -- canonical section --------------------------------------------------------------
 
 
