@@ -9,6 +9,7 @@ invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -319,7 +320,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: it holds no state
+    between calls, since each parse returns a fresh namespace."""
     parser = _Parser(
         prog="cuspgerms",
         description="Exact holomorphy arithmetic on monomial cusp curves.",

@@ -12,10 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .errors import UndecidableAtTruncation
-from .germ import Decision, LaurentGerm
+from .germ import CERTAINLY_YES, Decision, LaurentGerm, unknown_beyond
 from .semigroup import NumericalSemigroup
 
 
@@ -119,26 +119,44 @@ class CuspCurve:
         """Smallest stored exponent proving non-holomorphy, if any."""
         return self.is_holomorphic_at_cusp(f).witness
 
-    def _power_decisions(self, f: LaurentGerm) -> Iterator[Decision]:
-        """Decisions for f, f^2, ..., each power taken mod t^c (c the conductor).
+    def power_decision(self, f: LaurentGerm, n: int) -> Decision:
+        """`is_holomorphic_at_cusp(f ** n)` for n >= 0, witness and reason
+        included, without building f ** n.
 
-        With exponents >= 0, the terms of a product below t^c, and its tail cut
-        at c, depend only on its factors mod t^c; a tail-only f with T < 0 has
-        powers O(t^(nT)), nT < c, that the cap leaves alone.  So the n-th
-        power here is f^n + O(t^c).  Every gap lies below c and every tail from
-        c on passes, so each decision, witness and reason included, is f^n's.
+        The terms of f^n come lazily from Miller's recurrence, in increasing
+        exponent order; the walk stops at the first gap (no) or at the
+        conductor (yes), and otherwise f^n's tail settles it (proof in
+        min_power).
         """
-        mod_c = LaurentGerm.tail_only(self.semigroup.conductor())
-        f = power = f + mod_c
-        while True:
-            yield self.is_holomorphic_at_cusp(power)
-            power = power * f + mod_c
+        s = self.semigroup
+        c = s.conductor()
+        for e, _ in f._power_terms(n):
+            if e >= c:
+                return CERTAINLY_YES
+            if not s.contains(e):
+                return Decision("no", witness=e)
+        tail = f._power_tail(n)
+        if tail is None or tail >= c:
+            return CERTAINLY_YES
+        return unknown_beyond(tail)
 
     def min_power(self, f: LaurentGerm) -> int:
         """Smallest n >= 1 with f^n holomorphic at the cusp.
 
-        The search stops at the conductor: beyond it a germ vanishing at the
-        cusp is always holomorphic.
+        The search stops at the conductor c: beyond it a germ vanishing at
+        the cusp is always holomorphic.
+
+        Each power is decided by `power_decision`, which equals the decision
+        of the full f^n.  The terms of f^n arrive in increasing exponent
+        order.  The first one at a gap e is the least failing stored
+        exponent, so f^n is no with witness e, whatever lies above it.  The
+        first one at e >= c shows that every later stored exponent is a
+        member, and that f^n's tail, which lies above e, is at least c: f^n
+        is yes.  If neither comes, every stored exponent is a member and the
+        tail rule of `is_holomorphic_at_cusp` applies to f^n's tail: yes
+        when f^n is exact or its tail (n-1)*lo + T is at least c, unknown
+        for O(t^((n-1)*lo + T)) otherwise.  A tail-only O(t^T) has no terms,
+        and its power is O(t^(nT)).  No power is ever built.
 
         A unit f (one storing t^0) needs no scan: every power f^n decides
         like f, witness and reason included.  The stored exponents of f^n are
@@ -158,9 +176,9 @@ class CuspCurve:
         cap = self.semigroup.conductor()
         # for a unit, power 1 settles the whole scan
         decisions = ([self.is_holomorphic_at_cusp(f)] if f.lowest_exponent() == 0
-                     else self._power_decisions(f))
+                     else (self.power_decision(f, n) for n in range(1, cap + 1)))
         unknown_at: int | None = None
-        for n, verdict in zip(range(1, cap + 1), decisions):
+        for n, verdict in enumerate(decisions, 1):
             if verdict.is_yes:
                 return n
             if verdict.is_unknown and unknown_at is None:
@@ -172,7 +190,18 @@ class CuspCurve:
         raise ValueError(f"no power up to the conductor {cap} is holomorphic")
 
     def stable_power(self, f: LaurentGerm) -> int:
-        """Smallest N such that every power f^n with n >= N is holomorphic."""
+        """Smallest N such that every power f^n with n >= N is holomorphic.
+
+        For lo >= 1 the answer is one past the last power that is no, unless
+        an unknown power comes after it.  Every exponent of f^n is at least
+        n*lo, and its tail (n-1)*lo + T exceeds n*lo, so every power with
+        n*lo >= c is yes.  The scan therefore runs backward from
+        ceil(c/lo) - 1, with each power decided as in min_power.  Every power
+        above the first one that is not yes is yes.  If that power is no, it
+        is the last no and nothing undecided follows it, so the answer is
+        n + 1.  If it is unknown, an undecided power lies above every no.
+        If every power is yes, the answer is 1.
+        """
         if f.is_zero():
             raise ValueError("zero germ has no stable power")
         lo = f.lowest_exponent()
@@ -182,19 +211,15 @@ class CuspCurve:
             raise ValueError("germ is not weakly holomorphic")
         c = self.semigroup.conductor()
         if lo >= 1:
-            # every exponent of f^n is >= n, so powers from the conductor on
-            # are holomorphic; only the window below it needs scanning
-            last_no = last_unknown = 0
-            for n, verdict in zip(range(1, c), self._power_decisions(f)):
+            for n in range(-(-c // lo) - 1, 0, -1):
+                verdict = self.power_decision(f, n)
                 if verdict.is_no:
-                    last_no = n
-                elif verdict.is_unknown:
-                    last_unknown = n
-            if last_unknown > last_no:
-                raise UndecidableAtTruncation(
-                    "undecided powers above the last certain failure"
-                )
-            return last_no + 1
+                    return n + 1
+                if verdict.is_unknown:
+                    raise UndecidableAtTruncation(
+                        "undecided powers above the last certain failure"
+                    )
+            return 1
         # a unit: every power decides like f (proof in min_power); the
         # messages keep the c + pq bound of tests/oracles.py::stable_power_scan
         verdict = self.is_holomorphic_at_cusp(f)
@@ -231,27 +256,23 @@ class CuspCurve:
         return min(self.p, self.q) - 1
 
     def weak_generation_report(self) -> WeakGenerationReport:
-        """Monomial-level generation check.
+        """Monomial-level generation check, answered by its closed form.
 
         Every t^e with 0 <= e <= conductor + r must factor as t^s * t^j with
         s a semigroup member and 0 <= j <= r; larger e lie in the semigroup
-        outright.  Also reports whether r-1 powers would have sufficed,
-        without asserting minimality either way.
+        outright.  With m = min(p, q) and r = m - 1, each e is k*m + j with
+        0 <= j <= r, and k*m is a member, so the powers 0..r always
+        generate.  The powers 0..r-1 never do: for e = m - 1, which is
+        within the bound, every e - j with 0 <= j <= r - 1 lies in
+        [1, m - 1], below every nonzero member.  The scan this replaces is
+        tests/oracles.py::weak_generation_scan.
         """
-        s = self.semigroup
         r = self.weak_generator_count()
-        bound = s.conductor() + r
-
-        def covered(e: int, max_j: int) -> bool:
-            return any(s.contains(e - j) for j in range(0, max_j + 1))
-
-        generates = all(covered(e, r) for e in range(0, bound + 1))
-        fewer = all(covered(e, r - 1) for e in range(0, bound + 1))
         return WeakGenerationReport(
             generator_power_max=r,
-            checked_up_to=bound,
-            generates=generates,
-            one_fewer_suffices=fewer,
+            checked_up_to=self.semigroup.conductor() + r,
+            generates=True,
+            one_fewer_suffices=False,
         )
 
     # -- local geometry ------------------------------------------------------------

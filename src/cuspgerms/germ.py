@@ -139,6 +139,11 @@ def unknown(reason: str) -> Decision:
     return Decision("unknown", reason)
 
 
+def unknown_beyond(tail: int) -> Decision:
+    """Unknown because terms from t^tail on are not stored."""
+    return unknown(f"terms hidden beyond O(t^{tail}) may violate the test")
+
+
 def aggregate_decisions(decisions: Iterable[Decision]) -> Decision:
     """Conjunction: yes only if every part is yes; any no wins over unknown."""
     verdict = CERTAINLY_YES
@@ -342,30 +347,50 @@ class LaurentGerm:
 
         n = 0 gives the exact unit, even for a zero or truncated germ; the
         exact zero stays zero, and O(t^T)**n is O(t^(n*T)).
+
+        The terms come from `_power_terms`, which runs the recurrence lazily
+        and is the one power path; the tail from `_power_tail`.
         """
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
             raise ValueError(f"germ power must be >= 0, got {n}")
-        if n == 0:
-            return LaurentGerm.one()
+        return LaurentGerm._from_clean(dict(self._power_terms(n)), self._power_tail(n))
+
+    def _power_tail(self, n: int) -> int | None:
+        """Tail bound of f**n for n >= 0: (n-1)*lo + T, or n*T for O(t^T)."""
+        if n == 0 or self._tail is None:
+            return None
         if not self._terms:
-            return LaurentGerm._from_clean({}, None if self._tail is None else n * self._tail)
+            return n * self._tail
+        return (n - 1) * next(iter(self._terms)) + self._tail
+
+    def _power_terms(self, n: int) -> Iterator[tuple[int, GaussianRational]]:
+        """Stored terms of f**n for n >= 0, in increasing exponent order.
+
+        Each term is computed by the recurrence in `__pow__` only when it is
+        asked for, so a caller may stop at the first term it needs.
+        """
+        if n == 0:
+            yield 0, ONE
+            return
+        if not self._terms:
+            return
         terms = iter(self._terms.items())
         lo, g0 = next(terms)
         offsets = [(e - lo, c) for e, c in terms]
         if self._tail is None:
             width = n * (offsets[-1][0] if offsets else 0) + 1
-            tail = None
         else:
             width = self._tail - lo
-            tail = (n - 1) * lo + self._tail
         # h_k for k < width, of which only multiples of step can be nonzero
         step = gcd(*(j for j, _ in offsets)) or width
         rest = [(j // step, c) for j, c in offsets]
         count = -(-width // step)
         inverse_g0 = g0.inverse()
+        base = n * lo
         h: list[GaussianRational | None] = [g0 ** n]
+        yield base, h[0]
         for k in range(1, count):
             acc = None
             for j, gj in rest:
@@ -375,11 +400,12 @@ class LaurentGerm:
                 if prev is not None:
                     term = ((n + 1) * j - k) * (gj * prev)
                     acc = term if acc is None else acc + term
-            h.append(None if acc is None or acc.is_zero()
-                     else Fraction(1, k) * (acc * inverse_g0))
-        return LaurentGerm._from_clean(
-            {n * lo + step * k: c for k, c in enumerate(h) if c is not None}, tail
-        )
+            if acc is None or acc.is_zero():
+                h.append(None)
+            else:
+                hk = Fraction(1, k) * (acc * inverse_g0)
+                h.append(hk)
+                yield base + step * k, hk
 
     def scaled(self, factor: CoeffLike) -> "LaurentGerm":
         c = _coeff(factor)
@@ -415,7 +441,7 @@ class LaurentGerm:
             return CERTAINLY_YES
         if tail_satisfies is not None and tail_satisfies(self._tail):
             return CERTAINLY_YES
-        return unknown(f"terms hidden beyond O(t^{self._tail}) may violate the test")
+        return unknown_beyond(self._tail)
 
     # -- equality / rendering ----------------------------------------------
 

@@ -14,7 +14,13 @@ import sys
 from fractions import Fraction
 from random import Random
 
-from cuspgerms import GaussianRational, LaurentGerm, RootBoundReport, UndecidableAtTruncation
+from cuspgerms import (
+    GaussianRational,
+    LaurentGerm,
+    RootBoundReport,
+    UndecidableAtTruncation,
+    WeakGenerationReport,
+)
 
 
 def brute_contains(p: int, q: int, n: int) -> bool:
@@ -291,6 +297,26 @@ def stable_power_scan(curve, f: LaurentGerm) -> int:
             f"no certified run of holomorphic powers up to {cap}"
         )
     raise ValueError(f"no stable power found up to {cap}")
+
+
+def weak_generation_scan(curve) -> WeakGenerationReport:
+    """`CuspCurve.weak_generation_report` by its definition: every e with
+    0 <= e <= conductor + r is checked for a member e - j with 0 <= j <= r,
+    and again with 0 <= j <= r - 1, against a DP membership table."""
+    p, q = curve.p, curve.q
+    r = min(p, q) - 1
+    bound = (p - 1) * (q - 1) + r
+    table = dp_membership(p, q, bound)
+
+    def covered(e: int, max_j: int) -> bool:
+        return any(table[e - j] for j in range(min(max_j, e) + 1))
+
+    return WeakGenerationReport(
+        generator_power_max=r,
+        checked_up_to=bound,
+        generates=all(covered(e, r) for e in range(bound + 1)),
+        one_fewer_suffices=all(covered(e, r - 1) for e in range(bound + 1)),
+    )
 
 
 def dominant_axis_by_sampling(p: int, q: int, radii: list[float] | None = None) -> int:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import cuspgerms
-from cuspgerms import NumericalSemigroup
+from cuspgerms import NumericalSemigroup, cli
 from cuspgerms.cli import main
 
 
@@ -120,6 +120,51 @@ def test_semigroup_bound_at_limit_is_accepted(monkeypatch):
         main(["semigroup", "info", "--p", "3", "--q", "5", "--bound", "1000000"])
 
 
+def _src_env(**extra: str) -> dict[str, str]:
+    """This process's environment with the package's source directory first
+    on PYTHONPATH."""
+    src = str(Path(cuspgerms.__file__).resolve().parents[1])
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    argvs = (["curve", "analyze", "--p", "3", "--q", "4"],
+             ["semigroup", "bogus"],  # usage error, exit code 2
+             ["semigroup", "info", "--p", "3", "--q", "5"])
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to it
+    fresh = []
+    for argv in argvs:
+        result = subprocess.run([sys.executable, "-m", "cuspgerms.cli", *argv],
+                                env=_src_env(COLUMNS="80"), capture_output=True,
+                                text=True, timeout=120)
+        fresh.append((result.returncode, result.stdout, result.stderr))
+
+    built: list[str | None] = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    in_process = []
+    for argv in argvs:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+        if len(in_process) == 1:
+            built_by_first_call = len(built)
+    assert [code for code, _, _ in fresh] == [0, 2, 0]
+    assert in_process == fresh
+    assert built.count("cuspgerms") == 1  # the top-level parser
+    assert len(built) == built_by_first_call  # no subparser rebuilt either
+
+
 def test_runtime_needs_no_numpy():
     script = textwrap.dedent("""
         import sys
@@ -135,10 +180,7 @@ def test_runtime_needs_no_numpy():
             assert main(argv) == 0, argv
         assert CuspCurve(3, 4).weierstrass(2).root_bound_check().stable
     """)
-    src = str(Path(cuspgerms.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    result = subprocess.run([sys.executable, "-c", script], env=env,
+    result = subprocess.run([sys.executable, "-c", script], env=_src_env(),
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert "witnessExponent" in result.stdout

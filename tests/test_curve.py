@@ -23,6 +23,7 @@ from oracles import (
     root_bound_by_sampling,
     root_bound_tolerance,
     stable_power_scan,
+    weak_generation_scan,
 )
 
 T = LaurentGerm.monomial(1)
@@ -293,6 +294,62 @@ def test_every_power_of_a_unit_decides_like_the_unit(data):
         assert power.witness == decision.witness  # not part of ==
 
 
+@st.composite
+def cancelling_germ(draw):
+    """A small curve and t^lo * (1 + a*t + b*t^2 + ...) with b = -(m-1)/2 * a^2,
+    so that the t^(m*lo + 2) coefficient of the m-th power, m*b + C(m,2)*a^2,
+    cancels."""
+    curve = draw(st.sampled_from(SMALL_CURVES))
+    lo = draw(st.integers(1, 4))
+    m = draw(st.integers(2, 12))
+    a = GaussianRational(*draw(pairs))
+    terms = {lo: GaussianRational(1), lo + 1: a, lo + 2: Fraction(-(m - 1), 2) * (a * a)}
+    extra = draw(st.dictionaries(st.integers(lo + 3, lo + 6), pairs, max_size=2))
+    terms |= {e: GaussianRational(re, im) for e, (re, im) in extra.items()}
+    tail = draw(st.one_of(st.none(), st.integers(lo + 3, lo + 12)))
+    return curve, LaurentGerm(terms, tail)
+
+
+@given(st.one_of(curve_and_germ(), cancelling_germ()))
+@settings(max_examples=150, deadline=None)  # f ** n is the slow side
+def test_power_decision_is_the_decision_of_the_power(data):
+    curve, f = data
+    for n in range(13):
+        lazy = curve.power_decision(f, n)
+        full = curve.is_holomorphic_at_cusp(f ** n)
+        assert (lazy.kind, lazy.reason, lazy.witness) == (full.kind, full.reason, full.witness)
+
+
+def test_power_decision_examples():
+    c = CuspCurve(3, 5)  # gaps 1, 2, 4, 7; conductor 8
+    # t^5 (1 + t - 2t^2)^5 = t^5 (1 + 5t + 0t^2 - 30t^3 + ...): the gap 7 cancels
+    f = parse_germ("t + t^2 - 2*t^3")
+    assert (f ** 5).coefficient(7) == GaussianRational(0)
+    assert c.power_decision(f, 5).is_yes
+    # t^4 is the first stored gap of (t^2 + t^3)^2; the tail of (t^3 + O(t^4))^2 is 7
+    assert c.power_decision(parse_germ("t^2 + t^3"), 2).witness == 4
+    assert str(c.power_decision(parse_germ("t^3 + O(t^4)"), 2)) == (
+        "Unknown(terms hidden beyond O(t^7) may violate the test)")
+    assert c.power_decision(parse_germ("t^3 + O(t^4)"), 3).is_yes
+    # O(t^T)^n is O(t^(nT))
+    assert c.power_decision(LaurentGerm.tail_only(3), 2).is_unknown
+    assert c.power_decision(LaurentGerm.tail_only(3), 3).is_yes
+    assert c.power_decision(LaurentGerm.tail_only(-1), 5).is_unknown
+
+
+def test_vanishing_germ_scans_build_no_power(monkeypatch):
+    f = parse_germ("t + t^2")
+
+    def refuse(*args):
+        raise AssertionError("a germ was built by arithmetic")
+
+    for op in ("__mul__", "__pow__", "__add__"):
+        monkeypatch.setattr(LaurentGerm, op, refuse)
+    c = CuspCurve(41, 42)
+    assert c.min_power(f) == 1640
+    assert c.stable_power(f) == 1640
+
+
 def test_stable_power_bounds_all_later_powers():
     for p, q in [(2, 3), (3, 4), (4, 5), (5, 7)]:
         c = CuspCurve(p, q)
@@ -348,6 +405,13 @@ def test_weak_generation_report():
     assert not rep.one_fewer_suffices
     rep23 = CuspCurve(2, 3).weak_generation_report()
     assert rep23.generates and not rep23.one_fewer_suffices
+
+
+def test_weak_generation_report_matches_scan_oracle():
+    curves = coprime_curves(39)
+    assert len(curves) == 870
+    for c in curves:
+        assert c.weak_generation_report() == weak_generation_scan(c), (c.p, c.q)
 
 
 def test_weak_generation_all_small_curves():

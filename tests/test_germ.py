@@ -1,6 +1,7 @@
 """Exact truncated Laurent arithmetic: ring laws, tail propagation, grammar."""
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -356,6 +357,27 @@ def test_pow_matches_iterated_mul(f, n):
     # equality compares the tail bounds as well as the stored terms
     assert f ** n == by_mul
     assert f ** 1 == f
+
+
+@given(tailed_germs, st.integers(0, 12))
+@settings(max_examples=150, deadline=None)  # the iterated product is the slow side
+def test_power_terms_are_the_terms_of_the_power_in_order(f, n):
+    lazy = list(f._power_terms(n))
+    assert lazy == list((f ** n).items())
+    by_mul = LaurentGerm.one()
+    for _ in range(n):
+        by_mul = by_mul * f
+    assert lazy == list(by_mul.items())
+    assert [e for e, _ in lazy] == sorted({e for e, _ in lazy})
+    assert f._power_tail(n) == (f ** n).tail_bound == by_mul.tail_bound
+
+
+def test_power_terms_are_computed_on_demand():
+    # the recurrence would walk a billion coefficients below the tail
+    f = germ("1 + t + O(t^1000000000)")
+    first = list(islice(f._power_terms(3), 4))
+    assert first == [(0, GaussianRational(1)), (1, GaussianRational(3)),
+                     (2, GaussianRational(3)), (3, GaussianRational(1))]
 
 
 nonzero_pairs = st.tuples(
