@@ -123,16 +123,13 @@ class CuspCurve:
         """`is_holomorphic_at_cusp(f ** n)` for n >= 0, witness and reason
         included, without building f ** n.
 
-        The terms of f^n come lazily from Miller's recurrence, in increasing
-        exponent order; the walk stops at the first gap (no) or at the
-        conductor (yes), and otherwise f^n's tail settles it (proof in
-        min_power).
+        The terms of f^n below the conductor come lazily from Miller's
+        recurrence, in increasing exponent order; the walk stops at the first
+        gap (no), and otherwise f^n's tail settles it (proof in min_power).
         """
         s = self.semigroup
         c = s.conductor()
-        for e, _ in f._power_terms(n):
-            if e >= c:
-                return CERTAINLY_YES
+        for e, _ in f._power_terms(n, below=c):
             if not s.contains(e):
                 return Decision("no", witness=e)
         tail = f._power_tail(n)
@@ -148,15 +145,15 @@ class CuspCurve:
 
         Each power is decided by `power_decision`, which equals the decision
         of the full f^n.  The terms of f^n arrive in increasing exponent
-        order.  The first one at a gap e is the least failing stored
-        exponent, so f^n is no with witness e, whatever lies above it.  The
-        first one at e >= c shows that every later stored exponent is a
-        member, and that f^n's tail, which lies above e, is at least c: f^n
-        is yes.  If neither comes, every stored exponent is a member and the
-        tail rule of `is_holomorphic_at_cusp` applies to f^n's tail: yes
-        when f^n is exact or its tail (n-1)*lo + T is at least c, unknown
-        for O(t^((n-1)*lo + T)) otherwise.  A tail-only O(t^T) has no terms,
-        and its power is O(t^(nT)).  No power is ever built.
+        order, and the walk asks only for those below c.  The first one at a
+        gap e is the least failing stored exponent, so f^n is no with witness
+        e, whatever lies above it.  If none comes, every stored exponent
+        below c is a member, and so is every one at or above c; the tail rule
+        of `is_holomorphic_at_cusp` applies to f^n's tail: yes when f^n is
+        exact or its tail (n-1)*lo + T is at least c, unknown for
+        O(t^((n-1)*lo + T)) otherwise.  A tail-only O(t^T) has no terms, and
+        its power is O(t^(nT)).  No power is ever built, and no walk passes
+        c, however far f^n's stored part or tail reach.
 
         A unit f (one storing t^0) needs no scan: every power f^n decides
         like f, witness and reason included.  The stored exponents of f^n are

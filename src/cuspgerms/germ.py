@@ -337,8 +337,10 @@ class LaurentGerm:
         bound.  It is also the bound iterated multiplication gives: by
         induction f^m has lowest exponent m*lo (coefficient g_0^m, below its
         tail since lo < T) and tail (m-1)*lo + T, so f^m * f has tail
-        min(m*lo + T, (m-1)*lo + T + lo) = m*lo + T.  An exact f of highest
-        exponent hi needs k <= n*(hi - lo).
+        min(m*lo + T, (m-1)*lo + T + lo) = m*lo + T.  With hi the highest
+        stored exponent, the recurrence computes the coefficients of G^n for
+        the stored polynomial G = F / t^lo of degree hi - lo, so h_k = 0 for
+        k > n*(hi - lo), exact f or truncated.
 
         When every j with g_j != 0 is a multiple of d, g is a series in
         u = t^d, and substituting k = d*k', j = d*j' turns the recurrence
@@ -365,30 +367,39 @@ class LaurentGerm:
             return n * self._tail
         return (n - 1) * next(iter(self._terms)) + self._tail
 
-    def _power_terms(self, n: int) -> Iterator[tuple[int, GaussianRational]]:
-        """Stored terms of f**n for n >= 0, in increasing exponent order.
+    def _power_terms(
+        self, n: int, below: int | None = None
+    ) -> Iterator[tuple[int, GaussianRational]]:
+        """Stored terms of f**n for n >= 0, in increasing exponent order;
+        only those with exponent < `below` when it is given.
 
         Each term is computed by the recurrence in `__pow__` only when it is
-        asked for, so a caller may stop at the first term it needs.
+        asked for, so a caller may stop at the first term it needs.  The walk
+        ends at `below`, at the tail and at the degree n*(hi - lo) of the
+        stored part's power, whichever comes first.
         """
         if n == 0:
-            yield 0, ONE
+            if below is None or below > 0:
+                yield 0, ONE
             return
         if not self._terms:
             return
         terms = iter(self._terms.items())
         lo, g0 = next(terms)
         offsets = [(e - lo, c) for e, c in terms]
-        if self._tail is None:
-            width = n * (offsets[-1][0] if offsets else 0) + 1
-        else:
-            width = self._tail - lo
+        base = n * lo
         # h_k for k < width, of which only multiples of step can be nonzero
+        width = n * (offsets[-1][0] if offsets else 0) + 1
+        if self._tail is not None:
+            width = min(width, self._tail - lo)
+        if below is not None:
+            width = min(width, below - base)
+        if width <= 0:
+            return
         step = gcd(*(j for j, _ in offsets)) or width
         rest = [(j // step, c) for j, c in offsets]
         count = -(-width // step)
         inverse_g0 = g0.inverse()
-        base = n * lo
         h: list[GaussianRational | None] = [g0 ** n]
         yield base, h[0]
         for k in range(1, count):

@@ -186,6 +186,29 @@ def test_runtime_needs_no_numpy():
     assert "witnessExponent" in result.stdout
 
 
+def test_power_scans_stop_at_the_conductor():
+    # gamma:3,4 has conductor 6; a walk up to these germs' tail or top
+    # exponent would take a billion recurrence steps per power
+    script = textwrap.dedent("""
+        import contextlib, io, json
+        from cuspgerms.cli import main
+        results = []
+        for germ in ("t^3 + t^4 + O(t^1000000000)", "t^3 + t^4 + t^1000000000"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["--json", "curve", "analyze", "--p", "3", "--q", "4",
+                             "--germ", germ]) == 0
+            results.append(json.loads(out.getvalue())["results"])
+        print(json.dumps(results))
+    """)
+    result = subprocess.run([sys.executable, "-c", script], env=_src_env(),
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    results = json.loads(result.stdout)
+    assert [(r["decision"], r["minPower"], r["stablePower"]) for r in results] == [
+        ("CertainlyYes", 1, 1)] * 2
+
+
 def test_curve_analyze_report(capsys):
     report = run_json(capsys, "curve", "analyze", "--p", "3", "--q", "4")
     results = report["results"]

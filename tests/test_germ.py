@@ -357,27 +357,25 @@ def test_pow_matches_iterated_mul(f, n):
     # equality compares the tail bounds as well as the stored terms
     assert f ** n == by_mul
     assert f ** 1 == f
-
-
-@given(tailed_germs, st.integers(0, 12))
-@settings(max_examples=150, deadline=None)  # the iterated product is the slow side
-def test_power_terms_are_the_terms_of_the_power_in_order(f, n):
-    lazy = list(f._power_terms(n))
-    assert lazy == list((f ** n).items())
-    by_mul = LaurentGerm.one()
-    for _ in range(n):
-        by_mul = by_mul * f
-    assert lazy == list(by_mul.items())
-    assert [e for e, _ in lazy] == sorted({e for e, _ in lazy})
-    assert f._power_tail(n) == (f ** n).tail_bound == by_mul.tail_bound
+    # the lazy terms come in increasing exponent order, and `below` cuts them
+    terms = list(f._power_terms(n))
+    assert [e for e, _ in terms] == sorted({e for e, _ in terms})
+    assert f._power_tail(n) == by_mul.tail_bound
+    cuts = [e for e, _ in terms[::len(terms) // 3 + 1]] + [terms[-1][0] + 1 if terms else 0]
+    for below in cuts:
+        assert list(f._power_terms(n, below)) == [(e, c) for e, c in terms if e < below]
 
 
 def test_power_terms_are_computed_on_demand():
-    # the recurrence would walk a billion coefficients below the tail
     f = germ("1 + t + O(t^1000000000)")
     first = list(islice(f._power_terms(3), 4))
     assert first == [(0, GaussianRational(1)), (1, GaussianRational(3)),
                      (2, GaussianRational(3)), (3, GaussianRational(1))]
+    # the walk ends at the degree 3 of (1 + t)^3, far below the tail
+    assert f ** 3 == germ("1 + 3*t + 3*t^2 + t^3 + O(t^1000000000)")
+    # and at `below`, far below the top exponent of an exact germ
+    g = germ("t + t^1000000000")
+    assert list(g._power_terms(2, below=4)) == [(2, GaussianRational(1))]
 
 
 nonzero_pairs = st.tuples(
