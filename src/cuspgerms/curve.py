@@ -129,7 +129,7 @@ class CuspCurve:
         """
         s = self.semigroup
         c = s.conductor()
-        for e, _ in f._power_terms(n, below=c):
+        for e, _, _ in f._power_walk(n, below=c):
             if not s.contains(e):
                 return Decision("no", witness=e)
         tail = f._power_tail(n)
@@ -151,9 +151,12 @@ class CuspCurve:
         below c is a member, and so is every one at or above c; the tail rule
         of `is_holomorphic_at_cusp` applies to f^n's tail: yes when f^n is
         exact or its tail (n-1)*lo + T is at least c, unknown for
-        O(t^((n-1)*lo + T)) otherwise.  A tail-only O(t^T) has no terms, and
-        its power is O(t^(nT)).  No power is ever built, and no walk passes
-        c, however far f^n's stored part or tail reach.
+        O(t^((n-1)*lo + T)) otherwise.  No power is ever built, and no walk
+        passes c, however far f^n's stored part or tail reach.
+
+        A tail-only O(t^T) needs no scan: it has no terms, and its power
+        O(t^(nT)) is yes exactly when nT >= c, unknown before.  For T > 0 the
+        answer is ceil(c/T) <= c; for T <= 0 every power is unknown.
 
         A unit f (one storing t^0) needs no scan: every power f^n decides
         like f, witness and reason included.  The stored exponents of f^n are
@@ -171,8 +174,14 @@ class CuspCurve:
         if self.is_weakly_holomorphic(f).is_no:
             raise ValueError("germ is not weakly holomorphic")
         cap = self.semigroup.conductor()
+        lo = f.lowest_exponent()
+        if lo is None:
+            # O(t^T): every power O(t^(nT)) is unknown until nT >= c, then yes
+            if f.tail_bound > 0:
+                return -(-cap // f.tail_bound)
+            raise UndecidableAtTruncation("power 1 undecidable at the germ's truncation")
         # for a unit, power 1 settles the whole scan
-        decisions = ([self.is_holomorphic_at_cusp(f)] if f.lowest_exponent() == 0
+        decisions = ([self.is_holomorphic_at_cusp(f)] if lo == 0
                      else (self.power_decision(f, n) for n in range(1, cap + 1)))
         unknown_at: int | None = None
         for n, verdict in enumerate(decisions, 1):

@@ -145,6 +145,24 @@ def test_min_power_examples():
     assert CuspCurve(2, 3).min_power(parse_germ("t + O(t^3)")) == 2
 
 
+def test_min_power_of_a_tail_only_germ_needs_no_scan(monkeypatch):
+    def refuse(self, f, n):
+        raise AssertionError("power scanned")
+
+    monkeypatch.setattr(CuspCurve, "power_decision", refuse)
+    c = CuspCurve(1001, 1002)
+    cap = c.semigroup.conductor()
+    # O(t^T)^n = O(t^(nT)) is yes from nT >= c on
+    assert c.min_power(LaurentGerm.tail_only(1)) == cap
+    assert c.min_power(LaurentGerm.tail_only(7)) == -(-cap // 7)
+    assert c.min_power(LaurentGerm.tail_only(cap)) == 1
+    assert c.min_power(LaurentGerm.tail_only(cap + 5)) == 1
+    for tail in (0, -1):
+        with pytest.raises(UndecidableAtTruncation,
+                           match="^power 1 undecidable at the germ's truncation$"):
+            c.min_power(LaurentGerm.tail_only(tail))
+
+
 def test_min_power_errors():
     c = CuspCurve(2, 3)
     with pytest.raises(ValueError):

@@ -1,7 +1,8 @@
 """Exact truncated Laurent arithmetic: ring laws, tail propagation, grammar."""
 
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from oracles import sympy_truncated_power, sympy_truncated_product
 from cuspgerms import (
     CERTAINLY_NO,
     CERTAINLY_YES,
+    CuspCurve,
     Decision,
     GaussianRational,
     GermParseError,
@@ -185,6 +187,26 @@ def test_pow_makes_no_germ_products(monkeypatch):
 
     monkeypatch.setattr(LaurentGerm, "__mul__", refuse)
     assert f ** 5 == expected
+
+
+def test_products_powers_and_power_decisions_build_no_fraction(monkeypatch):
+    # Gaussian leading coefficients, and denominators on both sides
+    f = germ("(1,1)*t + 1/2*t^2 + (0,1/3)*t^4 + O(t^30)")
+    g = germ("(2/3,-1)*t^2 - 3/5*t^3 + (1,1)*t^5")
+    curve = CuspCurve(5, 7)
+    want_product, want_power = f * g, g ** 7
+    want = [curve.is_holomorphic_at_cusp(h ** n) for h in (f, g) for n in range(1, 30)]
+
+    def refuse(*args):
+        raise AssertionError("Fraction built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr("cuspgerms.germ.Fraction", refuse)
+        product, power = f * g, g ** 7
+        have = [curve.power_decision(h, n) for h in (f, g) for n in range(1, 30)]
+    assert product == want_product and power == want_power
+    assert have == want
+    assert [d.witness for d in have] == [d.witness for d in want]
 
 
 def test_pow_rejects_negative():
@@ -431,6 +453,46 @@ def test_mul_matches_sympy_truncated_product(f_data, g_data):
     assert {e: (c.re, c.im) for e, c in product.items()} == want
     assert product.tail_bound == want_tail
     assert product.exponents() == sorted(want)
+
+
+def assert_primitive(f: LaurentGerm) -> None:
+    """Numerators over one positive denominator with no common factor."""
+    assert f._den > 0
+    assert gcd(f._den, *chain.from_iterable(f._num.values())) == 1
+    assert (0, 0) not in f._num.values()
+    assert list(f._num) == sorted(f._num)
+
+
+def rational_view(f: LaurentGerm):
+    return {e: (c.re, c.im) for e, c in f.items()}, f.tail_bound
+
+
+def test_primitive_form_examples():
+    f = LaurentGerm({1: Fraction(2, 4), 2: Fraction(6, 4)})
+    assert (f._num, f._den) == ({1: (1, 0), 2: (3, 0)}, 2)
+    half = Fraction(1, 2)
+    total = LaurentGerm({0: half, 1: half}) + LaurentGerm({0: half, 1: -half})
+    assert (total._num, total._den) == ({0: (1, 0)}, 1)
+    assert (germ("1/3*t") - germ("1/3*t"))._den == 1
+    assert (germ("(1/2,1/2)*t") * germ("(1,-1)"))._num == {1: (1, 0)}
+
+
+@given(tailed_germs, tailed_germs, st.integers(0, 6), st.integers(-3, 3), coeffs)
+@settings(max_examples=150, deadline=None)
+def test_every_germ_is_primitive_and_equality_is_rational(f, g, n, offset, c):
+    # f again, built from each coefficient's halves as duplicate terms
+    halves = LaurentGerm(chain(*(((e, Fraction(1, 2) * v), (e, Fraction(2, 4) * v))
+                                 for e, v in f.items())), f.tail_bound)
+    assert halves == f
+    built = [f, g, halves, f * g, g * f, f ** n, f + g, g + f, f - g, -f,
+             f.shifted(offset), f.scaled(c), f.scaled(2).scaled(Fraction(1, 2))]
+    for h in built:
+        assert_primitive(h)
+    for a in built:
+        for b in built:
+            assert (a == b) == (rational_view(a) == rational_view(b))
+            if a == b:
+                assert hash(a) == hash(b)
 
 
 @given(exact_germs, exact_germs)
