@@ -507,37 +507,14 @@ class LaurentGerm:
                 c, d = R[k - j]
                 if c or d:
                     weight = (n + 1) * j - k
-                    if b or d:
-                        re += weight * (a * c - b * d)
-                        im += weight * (a * d + b * c)
-                    else:  # real by real: skipping the zero cross terms saves
-                        re += weight * a * c  # about a fifth of a long walk
+                    re += weight * (a * c - b * d)
+                    im += weight * (a * d + b * c)
             if re or im:
                 rk = (re // k, im // k)
                 R.append(rk)
                 yield base + step * k, k, rk
             else:
                 R.append(_ZERO)
-
-    def _power_terms(
-        self, n: int, below: int | None = None
-    ) -> Iterator[tuple[int, GaussianRational]]:
-        """Stored terms of f**n for n >= 0, in increasing exponent order;
-        only those with exponent < `below` when it is given.  They are the
-        terms of `_power_walk` as coefficients h_k = g_0^n * R_k / N_0^k,
-        computed on demand in the same way.
-        """
-        if n == 0:
-            if below is None or below > 0:
-                yield 0, ONE
-            return
-        if not self._num:
-            return
-        n0 = next(iter(self._num.values()))
-        lead = self._rational(n0) ** n
-        inverse = GaussianRational(*n0).inverse()
-        for e, k, (re, im) in self._power_walk(n, below):
-            yield e, lead * GaussianRational(re, im) * inverse ** k
 
     def scaled(self, factor: CoeffLike) -> "LaurentGerm":
         c = _coeff(factor)

@@ -379,25 +379,27 @@ def test_pow_matches_iterated_mul(f, n):
     # equality compares the tail bounds as well as the stored terms
     assert f ** n == by_mul
     assert f ** 1 == f
-    # the lazy terms come in increasing exponent order, and `below` cuts them
-    terms = list(f._power_terms(n))
-    assert [e for e, _ in terms] == sorted({e for e, _ in terms})
     assert f._power_tail(n) == by_mul.tail_bound
-    cuts = [e for e, _ in terms[::len(terms) // 3 + 1]] + [terms[-1][0] + 1 if terms else 0]
+    if n == 0:
+        return
+    # the lazy walk yields the exponents of f**n in order, and `below` cuts them
+    exponents = [e for e, _, _ in f._power_walk(n)]
+    assert exponents == by_mul.exponents()
+    cuts = exponents[::len(exponents) // 3 + 1] + [exponents[-1] + 1 if exponents else 0]
     for below in cuts:
-        assert list(f._power_terms(n, below)) == [(e, c) for e, c in terms if e < below]
+        assert [e for e, _, _ in f._power_walk(n, below)] == [e for e in exponents if e < below]
 
 
 def test_power_terms_are_computed_on_demand():
     f = germ("1 + t + O(t^1000000000)")
-    first = list(islice(f._power_terms(3), 4))
-    assert first == [(0, GaussianRational(1)), (1, GaussianRational(3)),
-                     (2, GaussianRational(3)), (3, GaussianRational(1))]
+    # (e, k, R_k); the leading numerator is 1, so R_k is the coefficient
+    first = list(islice(f._power_walk(3), 4))
+    assert first == [(0, 0, (1, 0)), (1, 1, (3, 0)), (2, 2, (3, 0)), (3, 3, (1, 0))]
     # the walk ends at the degree 3 of (1 + t)^3, far below the tail
     assert f ** 3 == germ("1 + 3*t + 3*t^2 + t^3 + O(t^1000000000)")
     # and at `below`, far below the top exponent of an exact germ
     g = germ("t + t^1000000000")
-    assert list(g._power_terms(2, below=4)) == [(2, GaussianRational(1))]
+    assert list(g._power_walk(2, below=4)) == [(2, 0, (1, 0))]
 
 
 nonzero_pairs = st.tuples(
