@@ -30,15 +30,17 @@ from .surgery import (
 
 _AXIS_NAME = {1: "z1", 2: "z2"}
 
-_MAX_TABLE_BOUND = 10**6  # largest `semigroup info` bound; its table has bound + 1 rows
+# Size limits: the largest value each size flag accepts.  A larger value is a
+# domain error (exit code 1), refused before any work starts.
+_MAX_TABLE_BOUND = 10**6  # `semigroup info --bound`; the table has bound + 1 rows
+_MAX_NAGATA_POW = 10**4  # `nagata demo --max-pow`; one row per power
 
 
 def _jsonable(value: Any) -> Any:
-    if isinstance(value, Decision):
-        return str(value)
-    if isinstance(value, LaurentGerm):
-        return value.to_str()
-    if isinstance(value, Fraction):
+    # plain values first: membership tables hold tens of thousands of ints
+    if isinstance(value, (int, str, float)) or value is None:
+        return value
+    if isinstance(value, (Decision, LaurentGerm, Fraction)):
         return str(value)
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
@@ -98,8 +100,6 @@ def _scalar(value: Any) -> str:
         return "true" if value else "false"
     if value is None:
         return "-"
-    if isinstance(value, LaurentGerm):
-        return value.to_str()
     return str(value)
 
 
@@ -274,6 +274,8 @@ def _cmd_theorem1_bound(args: argparse.Namespace) -> dict[str, Any]:
 def _cmd_nagata_demo(args: argparse.Namespace) -> dict[str, Any]:
     if args.max_pow < 1:
         raise ValueError(f"maxPow must be >= 1, got {args.max_pow}")
+    if args.max_pow > _MAX_NAGATA_POW:
+        raise ValueError(f"maxPow must be <= {_MAX_NAGATA_POW}, got {args.max_pow}")
     if args.g == "inv":
         g = LaurentObject.monomial(-1)
     else:

@@ -10,7 +10,6 @@ ambient holomorphic function exactly when it is a member.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -24,8 +23,7 @@ class CoveringData(NamedTuple):
     axis: int  # base coordinate of the admissible projection: 1 for z1, 2 for z2
 
 
-@dataclass(frozen=True)
-class RadoGerm:
+class RadoGerm(NamedTuple):
     """The canonical continuous unit-order germ z1^m / z2^n with mq - np = 1.
 
     Its pullback is exactly t: continuous on the curve, holomorphic off the
@@ -38,8 +36,7 @@ class RadoGerm:
     pullback: LaurentGerm
 
 
-@dataclass(frozen=True)
-class WeakGenerationReport:
+class WeakGenerationReport(NamedTuple):
     generator_power_max: int  # r: module generators are the powers 0..r of the unit-order germ
     checked_up_to: int
     generates: bool
@@ -322,15 +319,13 @@ class CuspCurve:
         return WeierstrassPoly.for_monomial(self.covering_degree().degree, e)
 
 
-@dataclass(frozen=True)
-class RootBoundReport:
+class RootBoundReport(NamedTuple):
     constant: float  # fitted M with |T| <= M * |z|^(1/d) on the sampled range
     stable: bool  # fine-scale samples stay below the coarse-scale fit
     worst_ratio: float
 
 
-@dataclass(frozen=True)
-class WeierstrassPoly:
+class WeierstrassPoly(NamedTuple):
     """(T^{d/g} - z^{e/g})^g, the monic degree-d polynomial in T vanishing on
     the graph T = t^e over the base z = t^d, where g = gcd(d, e)."""
 

@@ -11,7 +11,6 @@ three-valued (yes / no / unknown) rather than silently wrong.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -100,14 +99,46 @@ class GaussianRational:
 
 ONE = GaussianRational(1)
 
+_set = object.__setattr__  # Decision's own fields, set once in __init__
 
-@dataclass(frozen=True)
+
 class Decision:
-    """Three-valued outcome of an exponent test on a possibly truncated germ."""
+    """Three-valued outcome of an exponent test on a possibly truncated germ.
+
+    Immutable.  Equality and hash use `kind` and `reason` only: two decisions
+    that fail at different exponents are the same decision.
+    """
+
+    __slots__ = ("kind", "reason", "witness")
 
     kind: str  # "yes" | "no" | "unknown"
-    reason: str | None = None
-    witness: int | None = field(default=None, compare=False)  # "no": first failing exponent
+    reason: str | None
+    witness: int | None  # "no": first failing exponent
+
+    def __init__(self, kind: str, reason: str | None = None, witness: int | None = None):
+        _set(self, "kind", kind)
+        _set(self, "reason", reason)
+        _set(self, "witness", witness)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Decision, (self.kind, self.reason, self.witness)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.kind == other.kind and self.reason == other.reason
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.reason))
+
+    def __repr__(self) -> str:
+        return f"Decision(kind={self.kind!r}, reason={self.reason!r}, witness={self.witness!r})"
 
     @property
     def is_yes(self) -> bool:

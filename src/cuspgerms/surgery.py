@@ -10,9 +10,8 @@ is rational arithmetic, power decisions are semigroup membership.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .curve import CuspCurve
 from .errors import NoWitnessInRange
@@ -115,8 +114,7 @@ class SurgeryCurve:
         return f"SurgeryCurve(maxIndex={self.max_index})"
 
 
-@dataclass(frozen=True)
-class GlobalSection:
+class GlobalSection(NamedTuple):
     """One pullback germ per site; the germ is the local normal form of a
     single continuous function on the glued curve, known modulo the ideal."""
 
@@ -215,8 +213,7 @@ def n_omega(curve: SurgeryCurve, region_max_index: int) -> int:
     return (K - 1) * K
 
 
-@dataclass(frozen=True)
-class PowerCheckReport:
+class PowerCheckReport(NamedTuple):
     power: int
     per_site: Mapping[int, Decision]
     aggregate: Decision
