@@ -99,8 +99,6 @@ class GaussianRational:
 
 ONE = GaussianRational(1)
 
-_set = object.__setattr__  # Decision's own fields, set once in __init__
-
 
 class Decision:
     """Three-valued outcome of an exponent test on a possibly truncated germ.
@@ -116,9 +114,9 @@ class Decision:
     witness: int | None  # "no": first failing exponent
 
     def __init__(self, kind: str, reason: str | None = None, witness: int | None = None):
-        _set(self, "kind", kind)
-        _set(self, "reason", reason)
-        _set(self, "witness", witness)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "witness", witness)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -127,6 +125,7 @@ class Decision:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
+        # copy and pickle rebuild through __init__, not the refused __setattr__
         return Decision, (self.kind, self.reason, self.witness)
 
     def __eq__(self, other: object) -> bool:

@@ -108,6 +108,32 @@ def test_nagata_max_pow_below_one_is_domain_error(capsys):
                 assert err == f"error: maxPow must be >= 1, got {max_pow}\n"
 
 
+def test_nagata_max_pow_limit_is_domain_error(capsys, monkeypatch):
+    def no_table(section, k):
+        raise AssertionError("an oversized power table was started")
+
+    monkeypatch.setattr(cli, "nagata_pow", no_table)
+    for g in ("inv", "expinv"):
+        for flags in ([], ["--json"]):
+            code, out, err = run(capsys, *flags, "nagata", "demo", "--g", g,
+                                 "--max-pow", "10001")
+            assert code == 1
+            assert out == ""
+            assert err == "error: maxPow must be <= 10000, got 10001\n"
+
+
+def test_nagata_max_pow_at_limit_is_accepted(monkeypatch):
+    class TableStarted(Exception):
+        pass
+
+    def stop(section, k):
+        raise TableStarted
+
+    monkeypatch.setattr(cli, "nagata_pow", stop)
+    with pytest.raises(TableStarted):
+        main(["nagata", "demo", "--g", "inv", "--max-pow", "10000"])
+
+
 def test_semigroup_bound_at_limit_is_accepted(monkeypatch):
     class TableStarted(Exception):
         pass
@@ -163,6 +189,18 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch):
     assert in_process == fresh
     assert built.count("cuspgerms") == 1  # the top-level parser
     assert len(built) == built_by_first_call  # no subparser rebuilt either
+
+
+def test_cli_import_skips_dataclasses_inspect_and_ast():
+    # dataclasses pulls in inspect and ast, and every CLI process would pay
+    # for loading them
+    script = ("import sys, cuspgerms.cli; "
+              "print(sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", script],
+                            env=_src_env(PYTHONDONTWRITEBYTECODE="1"),
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 def test_runtime_needs_no_numpy():

@@ -1,5 +1,7 @@
 """Exact truncated Laurent arithmetic: ring laws, tail propagation, grammar."""
 
+import copy
+import pickle
 from fractions import Fraction
 from itertools import chain, islice
 from math import gcd
@@ -254,6 +256,31 @@ def test_no_decision_carries_first_failing_exponent():
     assert CERTAINLY_YES.witness is None
     assert germ("t^-1 + O(t^5)").exponents_within(lambda e: e >= 0).witness == -1
     assert germ("t + O(t^5)").exponents_within(lambda e: e >= 0).witness is None
+
+
+def test_decision_value_contract():
+    no3, no5 = Decision("no", witness=3), Decision("no", None, 5)
+    # equality and hash read kind and reason; the witness is not compared
+    assert no3 == no5 and not no3 != no5
+    assert hash(no3) == hash(no5) == hash(CERTAINLY_NO)
+    assert no3 != CERTAINLY_YES and not no3 == CERTAINLY_YES
+    assert unknown("a") != unknown("b") and unknown("a") == Decision("unknown", "a")
+    assert len({no3, no5, CERTAINLY_NO, CERTAINLY_YES, unknown("a")}) == 3
+    # never equal to a tuple, whatever its fields
+    for other in (("no", None), ("no", None, 3), ("no",), "no"):
+        assert no3 != other and not no3 == other
+        assert other != no3 and not other == no3
+    assert repr(no3) == "Decision(kind='no', reason=None, witness=3)"
+    assert repr(unknown("x")) == "Decision(kind='unknown', reason='x', witness=None)"
+    assert (no3.kind, no3.reason, no3.witness) == ("no", None, 3)
+    for name in ("kind", "reason", "witness", "other"):
+        with pytest.raises(AttributeError):
+            setattr(no3, name, "yes")
+        with pytest.raises(AttributeError):
+            delattr(no3, name)
+    assert (no3.kind, no3.reason, no3.witness) == ("no", None, 3)
+    for clone in (copy.copy(no3), copy.deepcopy(no3), pickle.loads(pickle.dumps(no3))):
+        assert repr(clone) == repr(no3)
 
 
 def test_decision_rendering_and_aggregate():

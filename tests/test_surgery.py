@@ -6,16 +6,21 @@ from fractions import Fraction
 import pytest
 
 from cuspgerms import (
+    CERTAINLY_YES,
+    CuspCurve,
     GlobalSection,
     LaurentGerm,
     NoWitnessInRange,
+    PowerCheckReport,
     Site,
     SurgeryCurve,
+    WeierstrassPoly,
     check_section_power,
     make_global_rado,
     n_omega,
     no_global_power_witness,
     parse_germ,
+    unknown,
     validate_star,
 )
 from oracles import (
@@ -260,6 +265,35 @@ def test_check_section_power_validates_inputs():
         check_section_power(x, section, 0, 3)
     with pytest.raises(ValueError):
         check_section_power(x, section, 2, 6)
+
+
+def test_records_keep_fields_equality_and_repr():
+    germs = {2: T, 3: T + LaurentGerm.tail_only(6)}
+    section = GlobalSection(per_site=germs)
+    assert section.per_site is germs
+    assert section == GlobalSection(dict(germs)) and section != GlobalSection({2: T})
+    assert repr(section) == (
+        "GlobalSection(per_site={2: LaurentGerm('t'), 3: LaurentGerm('t + O(t^6)')})")
+
+    glued = SurgeryCurve.build_standard(3)
+    report = check_section_power(glued, make_global_rado(glued), 3, 3)
+    assert (report.power, report.per_site, report.aggregate) == (
+        3, {2: CERTAINLY_YES, 3: CERTAINLY_YES}, CERTAINLY_YES)
+    assert report == PowerCheckReport(power=3, per_site=dict(report.per_site),
+                                      aggregate=CERTAINLY_YES)
+    assert report != PowerCheckReport(4, report.per_site, CERTAINLY_YES)
+    assert report != PowerCheckReport(3, report.per_site, unknown("x"))
+    yes = "Decision(kind='yes', reason=None, witness=None)"
+    assert repr(report) == (
+        f"PowerCheckReport(power=3, per_site={{2: {yes}, 3: {yes}}}, aggregate={yes})")
+
+    poly = WeierstrassPoly(degree=3, inner_degree=3, z_exponent=2, multiplicity=1)
+    assert (poly.degree, poly.inner_degree, poly.z_exponent, poly.multiplicity) == (3, 3, 2, 1)
+    assert poly == CuspCurve(3, 4).weierstrass(2) == WeierstrassPoly.for_monomial(3, 2)
+    assert poly != CuspCurve(3, 4).weierstrass(3)
+    assert hash(poly) == hash(WeierstrassPoly.for_monomial(3, 2))
+    assert repr(poly) == "WeierstrassPoly('T^3 - z^2')"
+    assert repr(WeierstrassPoly.for_monomial(4, 2)) == "WeierstrassPoly('(T^2 - z)^2')"
 
 
 # -- truncation soundness -----------------------------------------------------------------
