@@ -12,12 +12,11 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 from typing import Any, Callable
 
 from .curve import CuspCurve
 from .errors import CuspGermsError, UndecidableAtTruncation
-from .germ import Decision, LaurentGerm, parse_germ
+from .germ import LaurentGerm, parse_germ
 from .nagata import LaurentObject, identity_section, nagata_pow
 from .semigroup import NumericalSemigroup
 from .surgery import (
@@ -34,19 +33,7 @@ _AXIS_NAME = {1: "z1", 2: "z2"}
 # domain error (exit code 1), refused before any work starts.
 _MAX_TABLE_BOUND = 10**6  # `semigroup info --bound`; the table has bound + 1 rows
 _MAX_NAGATA_POW = 10**4  # `nagata demo --max-pow`; one row per power
-
-
-def _jsonable(value: Any) -> Any:
-    # plain values first: membership tables hold tens of thousands of ints
-    if isinstance(value, (int, str, float)) or value is None:
-        return value
-    if isinstance(value, (Decision, LaurentGerm, Fraction)):
-        return str(value)
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+_MAX_SITES = 10**4  # `--max-k` of `rado witness` and `theorem1 bound`; one site each
 
 
 def _render_human(report: dict[str, Any]) -> str:
@@ -217,8 +204,14 @@ def _cmd_curve_multiplier(args: argparse.Namespace) -> dict[str, Any]:
     }
 
 
+def _build_sites(max_k: int) -> SurgeryCurve:
+    if max_k > _MAX_SITES:
+        raise ValueError(f"maxK must be <= {_MAX_SITES}, got {max_k}")
+    return SurgeryCurve.build_standard(max_k)
+
+
 def _cmd_rado_witness(args: argparse.Namespace) -> dict[str, Any]:
-    glued = SurgeryCurve.build_standard(args.max_k)
+    glued = _build_sites(args.max_k)
     section = make_global_rado(glued)
     site_index = no_global_power_witness(glued, args.n, section)
     site = glued.site(site_index)
@@ -244,7 +237,7 @@ def _cmd_rado_witness(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _cmd_theorem1_bound(args: argparse.Namespace) -> dict[str, Any]:
-    glued = SurgeryCurve.build_standard(args.max_k)
+    glued = _build_sites(args.max_k)
     bound = n_omega(glued, args.region)
     power = args.n if args.n is not None else bound
     section = make_global_rado(glued)
@@ -391,7 +384,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.json:
-        print(json.dumps(_jsonable(report), indent=2))
+        # tuples print as lists, int keys as strings, and str() renders
+        # decisions, germs and fractions
+        print(json.dumps(report, indent=2, default=str))
     else:
         print(_render_human(report))
     return 0

@@ -24,7 +24,9 @@ _FRACTION_ZERO = Fraction(0)
 
 
 class GaussianRational:
-    """Exact complex number with rational real and imaginary parts."""
+    """Exact complex number with rational real and imaginary parts: the
+    coefficient value germs take in and give out.  It has no arithmetic of
+    its own; germs compute on Gaussian-integer numerators."""
 
     __slots__ = ("re", "im")
 
@@ -35,47 +37,6 @@ class GaussianRational:
 
     def is_zero(self) -> bool:
         return not self.re and not self.im
-
-    def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
-
-    def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def __rmul__(self, scalar: RationalLike) -> "GaussianRational":
-        """Rational scalar times this number: `k * z`."""
-        if not self.im:
-            return GaussianRational(scalar * self.re)
-        return GaussianRational(scalar * self.re, scalar * self.im)
-
-    def __pow__(self, n: int) -> "GaussianRational":
-        """Square-and-multiply power for n >= 0."""
-        if not self.im:
-            return GaussianRational(self.re ** n)
-        result, base = ONE, self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
-    def inverse(self) -> "GaussianRational":
-        """1/z = conj(z)/|z|^2; ZeroDivisionError for zero."""
-        if not self.im:
-            return GaussianRational(1 / self.re)
-        norm = self.re * self.re + self.im * self.im
-        return GaussianRational(self.re / norm, -self.im / norm)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GaussianRational):
@@ -95,9 +56,6 @@ class GaussianRational:
         if not self.im:
             return str(self.re)
         return f"({self.re},{self.im})"
-
-
-ONE = GaussianRational(1)
 
 
 class Decision:
@@ -259,7 +217,7 @@ class LaurentGerm:
                 continue
             c = _coeff(c)
             s = sums.get(e)
-            sums[e] = c if s is None else s + c
+            sums[e] = c if s is None else GaussianRational(s.re + c.re, s.im + c.im)
         # D, the lcm of the reduced parts' denominators, is primitive: if p^a
         # exactly divides D, it exactly divides the denominator v of some part
         # u/v, and then the numerator u * D/v is prime to p
@@ -301,7 +259,7 @@ class LaurentGerm:
 
     @classmethod
     def one(cls) -> "LaurentGerm":
-        return cls({0: ONE})
+        return cls({0: 1})
 
     @classmethod
     def monomial(cls, exponent: int, coefficient: CoeffLike = 1) -> "LaurentGerm":
@@ -714,7 +672,7 @@ def parse_germ(text: str) -> LaurentGerm:
         else:
             raise GermParseError(f"unexpected token in {text!r}")
         if sign < 0:
-            coeff = -coeff
+            coeff = GaussianRational(-coeff.re, -coeff.im)
         terms.append((exponent, coeff))
     if tail is not None:
         for e, _ in terms:

@@ -58,7 +58,8 @@ class Site:
         return e >= self.ideal_exponent()
 
     def decision_for_power(self, germ: LaurentGerm, n: int) -> Decision:
-        return self.curve.is_holomorphic_at_cusp(germ ** n)
+        """The decision of germ ** n at this cusp, without building the power."""
+        return self.curve.power_decision(germ, n)
 
     def __repr__(self) -> str:
         return f"Site(index={self.index}, center={self.center}, radius={self.radius})"

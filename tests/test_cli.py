@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import cuspgerms
-from cuspgerms import NumericalSemigroup, cli
+from cuspgerms import NumericalSemigroup, SurgeryCurve, cli
 from cuspgerms.cli import main
 
 
@@ -132,6 +132,35 @@ def test_nagata_max_pow_at_limit_is_accepted(monkeypatch):
     monkeypatch.setattr(cli, "nagata_pow", stop)
     with pytest.raises(TableStarted):
         main(["nagata", "demo", "--g", "inv", "--max-pow", "10000"])
+
+
+_SITE_COMMANDS = (["rado", "witness", "--n", "5"], ["theorem1", "bound", "--region", "5"])
+
+
+def test_max_k_limit_is_domain_error(capsys, monkeypatch):
+    def no_sites(cls, max_k):
+        raise AssertionError("an oversized glued curve was started")
+
+    monkeypatch.setattr(SurgeryCurve, "build_standard", classmethod(no_sites))
+    for argv in _SITE_COMMANDS:
+        for flags in ([], ["--json"]):
+            code, out, err = run(capsys, *flags, *argv, "--max-k", "10001")
+            assert code == 1
+            assert out == ""
+            assert err == "error: maxK must be <= 10000, got 10001\n"
+
+
+def test_max_k_at_limit_is_accepted(monkeypatch):
+    class BuildStarted(Exception):
+        pass
+
+    def stop(cls, max_k):
+        raise BuildStarted
+
+    monkeypatch.setattr(SurgeryCurve, "build_standard", classmethod(stop))
+    for argv in _SITE_COMMANDS:
+        with pytest.raises(BuildStarted):
+            main([*argv, "--max-k", "10000"])
 
 
 def test_semigroup_bound_at_limit_is_accepted(monkeypatch):

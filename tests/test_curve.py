@@ -321,7 +321,10 @@ def cancelling_germ(draw):
     lo = draw(st.integers(1, 4))
     m = draw(st.integers(2, 12))
     a = GaussianRational(*draw(pairs))
-    terms = {lo: GaussianRational(1), lo + 1: a, lo + 2: Fraction(-(m - 1), 2) * (a * a)}
+    x, y = a.re, a.im
+    h = Fraction(-(m - 1), 2)
+    b = GaussianRational(h * (x * x - y * y), h * 2 * x * y)  # h * a^2
+    terms = {lo: GaussianRational(1), lo + 1: a, lo + 2: b}
     extra = draw(st.dictionaries(st.integers(lo + 3, lo + 6), pairs, max_size=2))
     terms |= {e: GaussianRational(re, im) for e, (re, im) in extra.items()}
     tail = draw(st.one_of(st.none(), st.integers(lo + 3, lo + 12)))

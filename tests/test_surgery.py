@@ -16,6 +16,7 @@ from cuspgerms import (
     SurgeryCurve,
     WeierstrassPoly,
     check_section_power,
+    cli,
     make_global_rado,
     n_omega,
     no_global_power_witness,
@@ -265,6 +266,30 @@ def test_check_section_power_validates_inputs():
         check_section_power(x, section, 0, 3)
     with pytest.raises(ValueError):
         check_section_power(x, section, 2, 6)
+
+
+def test_site_power_decisions_build_no_powers(monkeypatch, capsys):
+    x = SurgeryCurve.build_standard(12)
+    section = make_global_rado(x, {4: parse_germ("t^12 + O(t^20)")})
+    argv = ["theorem1", "bound", "--max-k", "12", "--region", "5"]
+
+    def tables():
+        return [{k: (d.kind, d.reason, d.witness)
+                 for k, d in check_section_power(x, section, n, 12).per_site.items()}
+                for n in (1, 3, 30)]
+
+    expected = tables()
+    assert cli.main(argv) == 0
+    expected_out = capsys.readouterr().out
+
+    def no_power(self, n):
+        raise AssertionError("a germ power was built")
+
+    monkeypatch.setattr(LaurentGerm, "__pow__", no_power)
+    assert tables() == expected
+    assert no_global_power_witness(x, 5, section) == 6
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == expected_out
 
 
 def test_records_keep_fields_equality_and_repr():
