@@ -14,18 +14,10 @@ import json
 import sys
 from typing import Any, Callable
 
-from .curve import CuspCurve
+# library modules are read through their module objects when a handler runs,
+# so a command runs only the modules it uses (the package registers them lazily)
+from . import curve, germ, nagata, semigroup, surgery
 from .errors import CuspGermsError, UndecidableAtTruncation
-from .germ import LaurentGerm, parse_germ
-from .nagata import LaurentObject, identity_section, nagata_pow
-from .semigroup import NumericalSemigroup
-from .surgery import (
-    SurgeryCurve,
-    check_section_power,
-    make_global_rado,
-    n_omega,
-    no_global_power_witness,
-)
 
 _AXIS_NAME = {1: "z1", 2: "z2"}
 
@@ -34,6 +26,7 @@ _AXIS_NAME = {1: "z1", 2: "z2"}
 _MAX_TABLE_BOUND = 10**6  # `semigroup info --bound`; the table has bound + 1 rows
 _MAX_NAGATA_POW = 10**4  # `nagata demo --max-pow`; one row per power
 _MAX_SITES = 10**4  # `--max-k` of `rado witness` and `theorem1 bound`; one site each
+_MAX_CONDUCTOR = 10**5  # `curve analyze`: (p-1)(q-1); the power scans grow with it
 
 
 def _render_human(report: dict[str, Any]) -> str:
@@ -102,7 +95,7 @@ def _attempt(fn: Callable[[], Any], findings: list[str], label: str) -> Any:
 
 
 def _cmd_semigroup_info(args: argparse.Namespace) -> dict[str, Any]:
-    s = NumericalSemigroup(args.p, args.q)
+    s = semigroup.NumericalSemigroup(args.p, args.q)
     bound = args.bound if args.bound is not None else s.conductor() + 1
     if bound < 0:
         raise ValueError(f"membership bound must be >= 0, got {bound}")
@@ -126,36 +119,39 @@ def _cmd_semigroup_info(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _cmd_curve_analyze(args: argparse.Namespace) -> dict[str, Any]:
-    curve = CuspCurve(args.p, args.q)
+    cusp = curve.CuspCurve(args.p, args.q)
+    conductor = cusp.semigroup.conductor()
+    if conductor > _MAX_CONDUCTOR:
+        raise ValueError(f"conductor must be <= {_MAX_CONDUCTOR}, got {conductor}")
     findings: list[str] = []
-    rado = curve.rado_germ()
-    germ = parse_germ(args.germ) if args.germ is not None else rado.pullback
-    decision = curve.is_holomorphic_at_cusp(germ)
-    cover = curve.covering_degree()
+    rado = cusp.rado_germ()
+    f = germ.parse_germ(args.germ) if args.germ is not None else rado.pullback
+    decision = cusp.is_holomorphic_at_cusp(f)
+    cover = cusp.covering_degree()
     results: dict[str, Any] = {
-        "curve": curve.spec_str(),
-        "germ": germ,
+        "curve": cusp.spec_str(),
+        "germ": f,
         "unitOrderGerm": {
             "m": rado.m,
             "n": rado.n,
             "monomial": f"z1^{rado.m}/z2^{rado.n}",
             "pullback": rado.pullback,
         },
-        "weaklyHolomorphic": curve.is_weakly_holomorphic(germ),
+        "weaklyHolomorphic": cusp.is_weakly_holomorphic(f),
         "decision": decision,
         "witnessExponent": decision.witness,
-        "minPower": _attempt(lambda: curve.min_power(germ), findings, "minPower"),
-        "stablePower": _attempt(lambda: curve.stable_power(germ), findings, "stablePower"),
+        "minPower": _attempt(lambda: cusp.min_power(f), findings, "minPower"),
+        "stablePower": _attempt(lambda: cusp.stable_power(f), findings, "stablePower"),
         "orderOfFlatness": _attempt(
-            lambda: curve.order_of_flatness(germ), findings, "orderOfFlatness"
+            lambda: cusp.order_of_flatness(f), findings, "orderOfFlatness"
         ),
         "coveringDegree": cover.degree,
         "projectionAxis": _AXIS_NAME[cover.axis],
-        "whitneyCone": _AXIS_NAME[curve.whitney_cone()],
+        "whitneyCone": _AXIS_NAME[cusp.whitney_cone()],
     }
-    exps = germ.exponents()
-    if germ.is_exact() and len(exps) == 1 and exps[0] >= 1:
-        poly = curve.weierstrass(exps[0])
+    exps = f.exponents()
+    if f.is_exact() and len(exps) == 1 and exps[0] >= 1:
+        poly = cusp.weierstrass(exps[0])
         results["weierstrass"] = {
             "degree": poly.degree,
             "factored": poly.factored_str(),
@@ -168,16 +164,16 @@ def _cmd_curve_analyze(args: argparse.Namespace) -> dict[str, Any]:
         )
     return {
         "command": "curve analyze",
-        "inputs": {"p": args.p, "q": args.q, "germ": germ.to_str()},
+        "inputs": {"p": args.p, "q": args.q, "germ": f.to_str()},
         "results": results,
         "findings": findings,
     }
 
 
 def _cmd_curve_multiplier(args: argparse.Namespace) -> dict[str, Any]:
-    curve = CuspCurve(args.p, args.q)
-    floor_ok = curve.floor_multiplier_check(args.a, args.b)
-    exact_ok = curve.exact_multiplier_check(args.a, args.b)
+    cusp = curve.CuspCurve(args.p, args.q)
+    floor_ok = cusp.floor_multiplier_check(args.a, args.b)
+    exact_ok = cusp.exact_multiplier_check(args.a, args.b)
     findings: list[str] = []
     if floor_ok and not exact_ok:
         findings.append(
@@ -189,14 +185,14 @@ def _cmd_curve_multiplier(args: argparse.Namespace) -> dict[str, Any]:
             "exact membership holds although the floor condition fails:"
             " the floor condition is sufficient, not necessary"
         )
-    rado = curve.rado_germ()
+    rado = cusp.rado_germ()
     return {
         "command": "curve multiplier",
         "inputs": {"p": args.p, "q": args.q, "a": args.a, "b": args.b},
         "results": {
-            "curve": curve.spec_str(),
+            "curve": cusp.spec_str(),
             "unitOrderGerm": {"m": rado.m, "n": rado.n},
-            "monomialPullbackExponent": curve.pullback_monomial(args.a, args.b),
+            "monomialPullbackExponent": cusp.pullback_monomial(args.a, args.b),
             "floorCheck": floor_ok,
             "exactCheck": exact_ok,
         },
@@ -204,19 +200,19 @@ def _cmd_curve_multiplier(args: argparse.Namespace) -> dict[str, Any]:
     }
 
 
-def _build_sites(max_k: int) -> SurgeryCurve:
+def _build_sites(max_k: int) -> surgery.SurgeryCurve:
     if max_k > _MAX_SITES:
         raise ValueError(f"maxK must be <= {_MAX_SITES}, got {max_k}")
-    return SurgeryCurve.build_standard(max_k)
+    return surgery.SurgeryCurve.build_standard(max_k)
 
 
 def _cmd_rado_witness(args: argparse.Namespace) -> dict[str, Any]:
     glued = _build_sites(args.max_k)
-    section = make_global_rado(glued)
-    site_index = no_global_power_witness(glued, args.n, section)
+    section = surgery.make_global_rado(glued)
+    site_index = surgery.no_global_power_witness(glued, args.n, section)
     site = glued.site(site_index)
-    germ = section.germ_at(site_index)
-    power = germ ** args.n
+    site_germ = section.germ_at(site_index)
+    power = site_germ ** args.n
     decision = site.curve.is_holomorphic_at_cusp(power)
     return {
         "command": "rado witness",
@@ -224,7 +220,7 @@ def _cmd_rado_witness(args: argparse.Namespace) -> dict[str, Any]:
         "results": {
             "witnessSite": site_index,
             "curve": site.curve.spec_str(),
-            "germ": germ,
+            "germ": site_germ,
             "powerGerm": power,
             "decision": decision,
             "witnessExponent": decision.witness,
@@ -238,13 +234,13 @@ def _cmd_rado_witness(args: argparse.Namespace) -> dict[str, Any]:
 
 def _cmd_theorem1_bound(args: argparse.Namespace) -> dict[str, Any]:
     glued = _build_sites(args.max_k)
-    bound = n_omega(glued, args.region)
+    bound = surgery.n_omega(glued, args.region)
     power = args.n if args.n is not None else bound
-    section = make_global_rado(glued)
-    table = check_section_power(glued, section, power, args.region)
+    section = surgery.make_global_rado(glued)
+    table = surgery.check_section_power(glued, section, power, args.region)
     sharp_site = glued.site(args.region)
     sharp_power = bound - 1
-    sharp_decision = sharp_site.decision_for_power(LaurentGerm.monomial(1), sharp_power)
+    sharp_decision = sharp_site.decision_for_power(germ.LaurentGerm.monomial(1), sharp_power)
     return {
         "command": "theorem1 bound",
         "inputs": {"maxK": args.max_k, "region": args.region, "n": power},
@@ -270,14 +266,14 @@ def _cmd_nagata_demo(args: argparse.Namespace) -> dict[str, Any]:
     if args.max_pow > _MAX_NAGATA_POW:
         raise ValueError(f"maxPow must be <= {_MAX_NAGATA_POW}, got {args.max_pow}")
     if args.g == "inv":
-        g = LaurentObject.monomial(-1)
+        g = nagata.LaurentObject.monomial(-1)
     else:
-        g = LaurentObject.essential_unit()
-    section = identity_section(g)
+        g = nagata.LaurentObject.essential_unit()
+    section = nagata.identity_section(g)
     powers = []
     extend_flags: list[bool] = []
     for k in range(1, args.max_pow + 1):
-        power = nagata_pow(section, k)
+        power = nagata.nagata_pow(section, k)
         extends = power.extends_across_origin()
         extend_flags.append(extends)
         powers.append({"k": k, "section": power.to_str(), "extends": extends})

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import cuspgerms
-from cuspgerms import NumericalSemigroup, SurgeryCurve, cli
+from cuspgerms import CuspCurve, NumericalSemigroup, SurgeryCurve, cli
 from cuspgerms.cli import main
 
 
@@ -112,7 +112,7 @@ def test_nagata_max_pow_limit_is_domain_error(capsys, monkeypatch):
     def no_table(section, k):
         raise AssertionError("an oversized power table was started")
 
-    monkeypatch.setattr(cli, "nagata_pow", no_table)
+    monkeypatch.setattr(cuspgerms.nagata, "nagata_pow", no_table)
     for g in ("inv", "expinv"):
         for flags in ([], ["--json"]):
             code, out, err = run(capsys, *flags, "nagata", "demo", "--g", g,
@@ -129,7 +129,7 @@ def test_nagata_max_pow_at_limit_is_accepted(monkeypatch):
     def stop(section, k):
         raise TableStarted
 
-    monkeypatch.setattr(cli, "nagata_pow", stop)
+    monkeypatch.setattr(cuspgerms.nagata, "nagata_pow", stop)
     with pytest.raises(TableStarted):
         main(["nagata", "demo", "--g", "inv", "--max-pow", "10000"])
 
@@ -173,6 +173,38 @@ def test_semigroup_bound_at_limit_is_accepted(monkeypatch):
     monkeypatch.setattr(NumericalSemigroup, "contains", stop)
     with pytest.raises(TableStarted):
         main(["semigroup", "info", "--p", "3", "--q", "5", "--bound", "1000000"])
+
+
+def test_curve_conductor_limit_is_domain_error(capsys, monkeypatch):
+    def no_scan(self, f):
+        raise AssertionError("a power scan on an oversized conductor was started")
+
+    monkeypatch.setattr(CuspCurve, "min_power", no_scan)
+    for flags in ([], ["--json"]):
+        code, out, err = run(capsys, *flags, "curve", "analyze", "--p", "2", "--q", "100003",
+                             "--germ", "t + t^2")
+        assert code == 1
+        assert out == ""
+        assert err == "error: conductor must be <= 100000, got 100002\n"
+
+
+def test_curve_conductor_limit_keeps_the_coprime_error(capsys):
+    code, out, err = run(capsys, "curve", "analyze", "--p", "100000", "--q", "200000")
+    assert code == 1
+    assert out == ""
+    assert err == "error: generators must be coprime, got (100000, 200000)\n"
+
+
+def test_curve_conductor_at_limit_is_accepted(monkeypatch):
+    class ScanStarted(Exception):
+        pass
+
+    def stop(self, f):
+        raise ScanStarted
+
+    monkeypatch.setattr(CuspCurve, "min_power", stop)
+    with pytest.raises(ScanStarted):
+        main(["curve", "analyze", "--p", "2", "--q", "100001"])
 
 
 def _src_env(**extra: str) -> dict[str, str]:
@@ -230,6 +262,47 @@ def test_cli_import_skips_dataclasses_inspect_and_ast():
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+# the library modules each command runs, besides cuspgerms, cli and errors
+_MODULES_RUN = (
+    (["semigroup", "info", "--p", "3", "--q", "5"], ["semigroup"]),
+    (["semigroup", "info", "--p", "4", "--q", "6"], ["semigroup"]),  # domain error
+    (["curve", "multiplier", "--p", "2", "--q", "3", "--a", "1", "--b", "0"],
+     ["curve", "germ", "semigroup"]),
+    (["curve", "analyze", "--p", "3", "--q", "4", "--germ", "t^2 + O(t^9)"],
+     ["curve", "germ", "semigroup"]),
+    (["nagata", "demo", "--g", "inv", "--max-pow", "3"], ["germ", "nagata"]),
+    (["rado", "witness", "--max-k", "12", "--n", "5"],
+     ["curve", "germ", "semigroup", "surgery"]),
+    (["theorem1", "bound", "--max-k", "12", "--region", "5"],
+     ["curve", "germ", "semigroup", "surgery"]),
+)
+
+
+@pytest.mark.parametrize("argv, modules", _MODULES_RUN,
+                         ids=[" ".join(argv) for argv, _ in _MODULES_RUN])
+def test_cli_command_runs_only_the_modules_it_uses(argv, modules):
+    # a lazily registered module sits in sys.modules from the start; it has
+    # run once its class is the plain module type again
+    script = textwrap.dedent(f"""
+        import contextlib, io, sys, types
+        from cuspgerms import cli
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            cli.main({argv!r})
+        print(sorted(name for name, module in sys.modules.items()
+                     if name.startswith("cuspgerms") and type(module) is types.ModuleType))
+        print("fractions" in sys.modules)
+    """)
+    result = subprocess.run([sys.executable, "-c", script],
+                            env=_src_env(PYTHONDONTWRITEBYTECODE="1"),
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    ran, fractions = result.stdout.splitlines()
+    expected = ["cuspgerms"] + sorted(f"cuspgerms.{m}" for m in ["cli", "errors", *modules])
+    assert ran == repr(expected)
+    if modules == ["semigroup"]:
+        assert fractions == "False"
 
 
 def test_runtime_needs_no_numpy():
