@@ -44,8 +44,8 @@ _HOME = {
                  "WeakGenerationReport", "WeierstrassPoly")),
         (errors, ("CuspGermsError", "GermParseError", "NoWitnessInRange",
                   "UndecidableAtTruncation", "UnsupportedEssentialProduct")),
-        (germ, ("CERTAINLY_NO", "CERTAINLY_YES", "Decision", "GaussianRational",
-                "LaurentGerm", "aggregate_decisions", "parse_germ", "unknown")),
+        (germ, ("CERTAINLY_YES", "Decision", "GaussianRational", "LaurentGerm",
+                "aggregate_decisions", "parse_germ", "unknown")),
         (nagata, ("DualSection", "LaurentObject", "identity_section", "nagata_mul",
                   "nagata_pow")),
         (semigroup, ("NumericalSemigroup",)),

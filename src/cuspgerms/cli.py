@@ -305,17 +305,11 @@ def _cmd_nagata_demo(args: argparse.Namespace) -> dict[str, Any]:
 # -- argument parsing ----------------------------------------------------------
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str) -> None:  # argparse exits 2; keep message on stderr
-        self.print_usage(sys.stderr)
-        self.exit(2, f"{self.prog}: error: {message}\n")
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: it holds no state
     between calls, since each parse returns a fresh namespace."""
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="cuspgerms",
         description="Exact holomorphy arithmetic on monomial cusp curves.",
     )

@@ -135,10 +135,14 @@ class CuspCurve:
         return unknown_beyond(tail)
 
     def min_power(self, f: LaurentGerm) -> int:
-        """Smallest n >= 1 with f^n holomorphic at the cusp.
+        """Smallest n >= 1 with f^n certified holomorphic at the cusp: the
+        least power decided CertainlyYes.  A smaller power may be undecided
+        at the germ's truncation (on gamma:3,5, `t^3 + O(t^4)` gives 3 while
+        powers 1 and 2 are unknown).
 
-        The search stops at the conductor c: beyond it a germ vanishing at
-        the cusp is always holomorphic.
+        For lo >= 1 the scan ends by N = ceil(c/lo), c the conductor: every
+        exponent of f^N is at least N*lo >= c and its tail (N-1)*lo + T
+        exceeds N*lo, so f^N is yes.
 
         Each power is decided by `power_decision`, which equals the decision
         of the full f^n.  The terms of f^n arrive in increasing exponent
@@ -177,19 +181,15 @@ class CuspCurve:
             if f.tail_bound > 0:
                 return -(-cap // f.tail_bound)
             raise UndecidableAtTruncation("power 1 undecidable at the germ's truncation")
-        # for a unit, power 1 settles the whole scan
-        decisions = ([self.is_holomorphic_at_cusp(f)] if lo == 0
-                     else (self.power_decision(f, n) for n in range(1, cap + 1)))
-        unknown_at: int | None = None
-        for n, verdict in enumerate(decisions, 1):
-            if verdict.is_yes:
-                return n
-            if verdict.is_unknown and unknown_at is None:
-                unknown_at = n
-        if unknown_at is not None:
-            raise UndecidableAtTruncation(
-                f"power {unknown_at} undecidable at the germ's truncation"
-            )
+        if lo >= 1:
+            last = -(-cap // lo)
+            return next((n for n in range(1, last) if self.power_decision(f, n).is_yes), last)
+        # a unit: power 1 settles the whole scan
+        verdict = self.is_holomorphic_at_cusp(f)
+        if verdict.is_yes:
+            return 1
+        if verdict.is_unknown:
+            raise UndecidableAtTruncation("power 1 undecidable at the germ's truncation")
         raise ValueError(f"no power up to the conductor {cap} is holomorphic")
 
     def stable_power(self, f: LaurentGerm) -> int:

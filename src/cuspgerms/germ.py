@@ -118,7 +118,6 @@ class Decision:
 
 
 CERTAINLY_YES = Decision("yes")
-CERTAINLY_NO = Decision("no")
 
 
 def unknown(reason: str) -> Decision:
@@ -598,18 +597,15 @@ def _min_tail(a: int | None, b: int | None) -> int | None:
 # -- parsing ----------------------------------------------------------------
 
 _RAT = r"[+-]?\d+(?:/\d+)?"
-# standalone coefficients are unsigned; signs are separator tokens, so that
-# "2-3*t" splits as 2, -, 3*t (signed components only inside Gaussian pairs)
-_TOKEN = re.compile(
-    r"\s*(?:"
-    rf"(?P<tail>O\(t\^(?P<tailexp>-?\d+)\))"
-    rf"|(?P<pair>\(\s*(?P<pre>{_RAT})\s*,\s*(?P<pim>{_RAT})\s*\))"
-    r"|(?P<rat>\d+(?:/\d+)?)"
-    r"|(?P<t>t(?:\^(?P<texp>-?\d+))?)"
-    r"|(?P<star>\*)"
-    r"|(?P<plus>\+)"
-    r"|(?P<minus>-)"
-    r")"
+# one term with its sign; standalone coefficients are unsigned, so that
+# "2-3*t" reads as 2 and -3*t (signed parts only inside Gaussian pairs)
+_TERM = re.compile(
+    r"\s*(?P<sign>[+-]?)\s*(?:"
+    r"O\(t\^(?P<tail>-?\d+)\)"
+    rf"|(?:(?P<rat>\d+(?:/\d+)?)|\(\s*(?P<re>{_RAT})\s*,\s*(?P<im>{_RAT})\s*\))"
+    r"(?:\s*\*\s*(?P<power>t(?:\^-?\d+)?))?"
+    r"|(?P<t>t(?:\^-?\d+)?)"
+    r")\s*"
 )
 
 
@@ -617,97 +613,47 @@ def parse_germ(text: str) -> LaurentGerm:
     """Parse the germ grammar: sum of `c*t^e` terms with optional `+ O(t^T)`.
 
     Coefficients are rationals `a/b` or Gaussian pairs `(a/b,c/d)`; a bare
-    `t^e` means coefficient 1, and `0` is the zero germ.
+    `t^e` means coefficient 1, and `0` is the zero germ.  Any other text,
+    a zero denominator included, raises GermParseError.
     """
-    tokens = _tokenize(text)
-    if not tokens:
+    if not text.strip():
         raise GermParseError("empty germ specification")
     terms: list[tuple[int, GaussianRational]] = []
     tail: int | None = None
-    i = 0
-    first = True
-    while i < len(tokens):
-        sign = 1
-        if not first:
-            kind, _ = tokens[i]
-            if kind == "plus":
-                i += 1
-            elif kind == "minus":
-                sign = -1
-                i += 1
+    pos = 0
+    while pos < len(text):
+        m = _TERM.match(text, pos)
+        # the first term may carry only a minus; every later term needs a sign
+        if not m or (m["sign"] == "+" if pos == 0 else not m["sign"]):
+            raise GermParseError(f"cannot read germ at ...{text[pos:]!r}")
+        pos = m.end()
+        negate = m["sign"] == "-"
+        power = m["power"] or m["t"]
+        try:
+            bound = None if m["tail"] is None else int(m["tail"])
+            exponent = 0 if power is None else int(power[2:] or 1)  # "t" or "t^e"
+            if m["re"] is None:
+                re_part, im_part = Fraction(m["rat"] or 1), _FRACTION_ZERO
             else:
-                raise GermParseError(f"expected + or - between terms in {text!r}")
-        elif tokens[i][0] == "minus":
-            sign = -1
-            i += 1
-        first = False
-        if i >= len(tokens):
-            raise GermParseError(f"dangling sign in {text!r}")
-        kind, value = tokens[i]
-        if kind == "tail":
-            if sign < 0:
+                re_part, im_part = Fraction(m["re"]), Fraction(m["im"])
+        except ZeroDivisionError:
+            raise GermParseError(f"zero denominator in {m[0].strip()!r}") from None
+        except ValueError as exc:  # a number longer than int() converts
+            raise GermParseError(str(exc)) from None
+        if bound is not None:
+            if negate:
                 raise GermParseError("tail marker cannot be subtracted")
             if tail is not None:
                 raise GermParseError("more than one tail marker")
-            tail = value
-            i += 1
+            tail = bound
             continue
         if tail is not None:
             # grammar places the tail marker last
             raise GermParseError("terms after the tail marker")
-        coeff = GaussianRational(1)
-        exponent = 0
-        if kind in ("pair", "rat"):
-            coeff = value
-            i += 1
-            if i < len(tokens) and tokens[i][0] == "star":
-                i += 1
-                if i >= len(tokens) or tokens[i][0] != "t":
-                    raise GermParseError(f"expected t after * in {text!r}")
-                exponent = tokens[i][1]
-                i += 1
-        elif kind == "t":
-            exponent = value
-            i += 1
-        else:
-            raise GermParseError(f"unexpected token in {text!r}")
-        if sign < 0:
-            coeff = GaussianRational(-coeff.re, -coeff.im)
-        terms.append((exponent, coeff))
-    if tail is not None:
-        for e, _ in terms:
-            if e >= tail:
-                raise GermParseError(
-                    f"stored exponent {e} not below tail bound {tail}"
-                )
+        if negate:
+            re_part, im_part = -re_part, -im_part
+        terms.append((exponent, GaussianRational(re_part, im_part)))
+    for e, _ in terms:
+        if tail is not None and e >= tail:
+            raise GermParseError(f"stored exponent {e} not below tail bound {tail}")
     return LaurentGerm(terms, tail)
-
-
-def _tokenize(text: str) -> list[tuple[str, object]]:
-    tokens: list[tuple[str, object]] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise GermParseError(f"cannot read germ at ...{text[pos:]!r}")
-            break
-        pos = m.end()
-        if m.group("tail"):
-            tokens.append(("tail", int(m.group("tailexp"))))
-        elif m.group("pair"):
-            tokens.append(
-                ("pair", GaussianRational(Fraction(m.group("pre")), Fraction(m.group("pim"))))
-            )
-        elif m.group("rat"):
-            tokens.append(("rat", GaussianRational(Fraction(m.group("rat")))))
-        elif m.group("t"):
-            exp = m.group("texp")
-            tokens.append(("t", 1 if exp is None else int(exp)))
-        elif m.group("star"):
-            tokens.append(("star", None))
-        elif m.group("plus"):
-            tokens.append(("plus", None))
-        elif m.group("minus"):
-            tokens.append(("minus", None))
-    return tokens

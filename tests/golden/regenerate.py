@@ -68,6 +68,8 @@ INVOCATIONS: list[list[str]] = [
     analyze(2, 3, "t^-2"),
     analyze(2, 3, "t^5 + O(t^3)"),
     analyze(4, 6),
+    analyze(2, 3, "1/0*t"),
+    analyze(2, 3, "2*"),
     # the other commands
     ["rado", "witness", "--max-k", "12", "--n", "5"],
     ["rado", "witness", "--max-k", "101", "--n", "100"],

@@ -1,5 +1,6 @@
 """Command-line surface: grammars, exit codes, JSON schema, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -47,6 +48,13 @@ def test_bad_germ_is_domain_error(capsys):
                        "--germ", "t^5 + O(t^3)")
     assert code == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize("spec", ["1/0*t", "(1,2/0)*t", "1/00"])
+def test_zero_denominator_is_domain_error(capsys, spec):
+    code, out, err = run(capsys, "curve", "analyze", "--p", "2", "--q", "3", "--germ", spec)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_witness_out_of_range_is_domain_error(capsys):
@@ -228,13 +236,13 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch):
         fresh.append((result.returncode, result.stdout, result.stderr))
 
     built: list[str | None] = []
-    init = cli._Parser.__init__
+    init = argparse.ArgumentParser.__init__
 
     def counting_init(self, *args, **kwargs):
         built.append(kwargs.get("prog"))
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     cli.build_parser.cache_clear()
     in_process = []
     for argv in argvs:

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import sys
 from fractions import Fraction
 from itertools import chain, islice
 from math import gcd
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 from oracles import sympy_truncated_power, sympy_truncated_product
 
 from cuspgerms import (
-    CERTAINLY_NO,
     CERTAINLY_YES,
     CuspCurve,
     Decision,
@@ -214,7 +214,7 @@ def test_scaled_and_shifted():
 def test_exponents_within_yes_no_unknown():
     even = lambda e: e >= 0
     assert LaurentGerm.monomial(2).exponents_within(even) == CERTAINLY_YES
-    assert germ("t^-1 + t").exponents_within(even) == CERTAINLY_NO
+    assert germ("t^-1 + t").exponents_within(even) == Decision("no")
     verdict = germ("t + O(t^5)").exponents_within(even)
     assert verdict == CERTAINLY_YES or verdict.is_unknown  # without certificate: unknown
     assert germ("t + O(t^5)").exponents_within(even, tail_satisfies=lambda t: t >= 0).is_yes
@@ -236,7 +236,7 @@ def test_no_decision_carries_first_failing_exponent():
     d = germ("t^-3 + t^-1 + t + O(t^5)").exponents_within(lambda e: e >= 0)
     assert d.witness == -3
     # the witness is not part of equality, hashing or rendering
-    assert d == CERTAINLY_NO and hash(d) == hash(CERTAINLY_NO)
+    assert d == Decision("no") and hash(d) == hash(Decision("no"))
     assert str(d) == "CertainlyNo"
     assert CERTAINLY_YES.witness is None
     assert germ("t^-1 + O(t^5)").exponents_within(lambda e: e >= 0).witness == -1
@@ -247,10 +247,10 @@ def test_decision_value_contract():
     no3, no5 = Decision("no", witness=3), Decision("no", None, 5)
     # equality and hash read kind and reason; the witness is not compared
     assert no3 == no5 and not no3 != no5
-    assert hash(no3) == hash(no5) == hash(CERTAINLY_NO)
+    assert hash(no3) == hash(no5) == hash(Decision("no"))
     assert no3 != CERTAINLY_YES and not no3 == CERTAINLY_YES
     assert unknown("a") != unknown("b") and unknown("a") == Decision("unknown", "a")
-    assert len({no3, no5, CERTAINLY_NO, CERTAINLY_YES, unknown("a")}) == 3
+    assert len({no3, no5, Decision("no"), CERTAINLY_YES, unknown("a")}) == 3
     # never equal to a tuple, whatever its fields
     for other in (("no", None), ("no", None, 3), ("no",), "no"):
         assert no3 != other and not no3 == other
@@ -270,11 +270,11 @@ def test_decision_value_contract():
 
 def test_decision_rendering_and_aggregate():
     assert str(CERTAINLY_YES) == "CertainlyYes"
-    assert str(CERTAINLY_NO) == "CertainlyNo"
+    assert str(Decision("no")) == "CertainlyNo"
     assert str(unknown("tail")) == "Unknown(tail)"
     assert aggregate_decisions([CERTAINLY_YES, CERTAINLY_YES]).is_yes
     assert aggregate_decisions([CERTAINLY_YES, unknown("x")]).is_unknown
-    assert aggregate_decisions([unknown("x"), CERTAINLY_NO]).is_no
+    assert aggregate_decisions([unknown("x"), Decision("no")]).is_no
     assert aggregate_decisions([]).is_yes
 
 
@@ -320,11 +320,46 @@ def test_parse(text, expected):
         "- O(t^4)",
         "2*",
         "*t",
+        "1/0*t",
+        "(1,2/0)*t",
+        "1/00",
     ],
 )
 def test_parse_rejects(text):
     with pytest.raises(GermParseError):
         parse_germ(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("  ", "empty germ specification"),
+        ("t - O(t^4)", "tail marker cannot be subtracted"),
+        ("O(t^2) + O(t^5)", "more than one tail marker"),
+        ("O(t^2) + t", "terms after the tail marker"),
+        ("t^5 + O(t^3)", "stored exponent 5 not below tail bound 3"),
+        ("1/0*t", "zero denominator in '1/0*t'"),
+        ("t + (1,2/0)", "zero denominator in '+ (1,2/0)'"),
+        ("2*", "cannot read germ at ...'*'"),
+        ("+t", "cannot read germ at ...'+t'"),
+        ("t t", "cannot read germ at ...'t'"),
+        ("t + x", "cannot read germ at ...'+ x'"),
+        ("t^", "cannot read germ at ...'^'"),
+    ],
+)
+def test_parse_error_messages(text, message):
+    with pytest.raises(GermParseError) as excinfo:
+        parse_germ(text)
+    assert str(excinfo.value) == message
+
+
+def test_parse_refuses_a_number_longer_than_int_reads():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python converts integer strings of any length")
+    for text in ("1" * (limit + 1), f"t^{'1' * (limit + 1)}", f"O(t^{'1' * (limit + 1)})"):
+        with pytest.raises(GermParseError):
+            parse_germ(text)
 
 
 @pytest.mark.parametrize(
@@ -525,3 +560,73 @@ def test_lowest_exponent_additive_for_exact_products(f, g):
 @settings(max_examples=150)
 def test_to_str_parses_back(f):
     assert parse_germ(f.to_str()) == f
+
+
+# -- parser properties ------------------------------------------------------------
+
+spaces = st.sampled_from(["", " ", "  "])
+signed_parts = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def rendered_germs(draw):
+    """(text, terms, tail): random terms rendered in the germ grammar, with
+    optional spaces wherever the grammar allows them."""
+    text = draw(spaces)
+    terms: list[tuple[int, GaussianRational]] = []
+    for i in range(draw(st.integers(0, 5))):
+        exponent = draw(st.integers(-4, 12))
+        power = "t" if exponent == 1 and draw(st.booleans()) else f"t^{exponent}"
+        kind = draw(st.sampled_from(["rational", "pair", "bare"]))
+        if kind == "bare":
+            body, c = power, GaussianRational(1)
+        else:
+            if kind == "rational":
+                a, b = draw(st.integers(0, 30)), draw(st.integers(1, 9))
+                coeff = f"{a}/{b}" if b > 1 or draw(st.booleans()) else str(a)
+                c = GaussianRational(Fraction(a, b))
+            else:
+                parts = [draw(signed_parts) for _ in range(2)]
+                shown = [("+" if x >= 0 and draw(st.booleans()) else "") + str(x)
+                         for x in parts]
+                coeff = "({}{}{},{}{}{})".format(
+                    draw(spaces), shown[0], draw(spaces), draw(spaces), shown[1], draw(spaces))
+                c = GaussianRational(*parts)
+            if draw(st.booleans()):
+                exponent, body = 0, coeff
+            else:
+                body = f"{coeff}{draw(spaces)}*{draw(spaces)}{power}"
+        negate = draw(st.booleans())
+        sign = "-" if negate else ("" if i == 0 else "+")
+        text += f"{sign}{draw(spaces)}{body}{draw(spaces)}"
+        terms.append((exponent, GaussianRational(-c.re, -c.im) if negate else c))
+    tail = None
+    if not terms or draw(st.booleans()):
+        tail = draw(st.integers(max((e for e, _ in terms), default=-5) + 1, 14))
+        text += f"{'+' if terms else ''}{draw(spaces)}O(t^{tail}){draw(spaces)}"
+    return text, terms, tail
+
+
+@given(rendered_germs())
+@settings(max_examples=300)
+def test_parse_reads_rendered_terms(data):
+    text, terms, tail = data
+    assert parse_germ(text) == LaurentGerm(terms, tail)
+
+
+germ_characters = st.text(alphabet="0123456789tO()^*/+-, ", max_size=30)
+germ_pieces = st.lists(
+    st.sampled_from(["t", "t^", "O(t^", "(", ")", ",", "*", "/", "+", "-", " ", "0", "1",
+                     "2", "-1", "1/2", "(1,2)"]),
+    max_size=10,
+).map("".join)
+
+
+@given(st.one_of(germ_characters, germ_pieces))
+@settings(max_examples=500)
+def test_parse_returns_a_germ_or_refuses(text):
+    try:
+        f = parse_germ(text)
+    except GermParseError:
+        return
+    assert isinstance(f, LaurentGerm)

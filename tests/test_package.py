@@ -22,7 +22,7 @@ HOMES = {
               "WeakGenerationReport", "WeierstrassPoly"],
     "errors": ["CuspGermsError", "GermParseError", "NoWitnessInRange",
                "UndecidableAtTruncation", "UnsupportedEssentialProduct"],
-    "germ": ["CERTAINLY_NO", "CERTAINLY_YES", "Decision", "GaussianRational", "LaurentGerm",
+    "germ": ["CERTAINLY_YES", "Decision", "GaussianRational", "LaurentGerm",
              "aggregate_decisions", "parse_germ", "unknown"],
     "nagata": ["DualSection", "LaurentObject", "identity_section", "nagata_mul", "nagata_pow"],
     "semigroup": ["NumericalSemigroup"],
