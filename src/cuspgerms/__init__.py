@@ -45,7 +45,7 @@ _HOME = {
         (errors, ("CuspGermsError", "GermParseError", "NoWitnessInRange",
                   "UndecidableAtTruncation", "UnsupportedEssentialProduct")),
         (germ, ("CERTAINLY_YES", "Decision", "GaussianRational", "LaurentGerm",
-                "aggregate_decisions", "parse_germ", "unknown")),
+                "aggregate_decisions", "parse_germ")),
         (nagata, ("DualSection", "LaurentObject", "identity_section", "nagata_mul",
                   "nagata_pow")),
         (semigroup, ("NumericalSemigroup",)),

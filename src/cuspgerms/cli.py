@@ -271,12 +271,11 @@ def _cmd_nagata_demo(args: argparse.Namespace) -> dict[str, Any]:
         g = nagata.LaurentObject.essential_unit()
     section = nagata.identity_section(g)
     powers = []
-    extend_flags: list[bool] = []
     for k in range(1, args.max_pow + 1):
         power = nagata.nagata_pow(section, k)
-        extends = power.extends_across_origin()
-        extend_flags.append(extends)
-        powers.append({"k": k, "section": power.to_str(), "extends": extends})
+        powers.append({"k": k, "section": power.to_str(),
+                       "extends": power.extends_across_origin()})
+    extend_flags = [row["extends"] for row in powers]
     findings = []
     if args.g == "inv":
         if all(extend_flags[1:]) and not extend_flags[0]:
@@ -370,15 +369,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         report = args.handler(args)
+        # rendering raises ValueError for an int too long for str(); tuples
+        # print as lists, int keys as strings, and str() renders decisions,
+        # germs and fractions
+        text = json.dumps(report, indent=2, default=str) if args.json else _render_human(report)
     except (CuspGermsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.json:
-        # tuples print as lists, int keys as strings, and str() renders
-        # decisions, germs and fractions
-        print(json.dumps(report, indent=2, default=str))
-    else:
-        print(_render_human(report))
+    print(text)
     return 0
 
 

@@ -120,13 +120,9 @@ class Decision:
 CERTAINLY_YES = Decision("yes")
 
 
-def unknown(reason: str) -> Decision:
-    return Decision("unknown", reason)
-
-
 def unknown_beyond(tail: int) -> Decision:
     """Unknown because terms from t^tail on are not stored."""
-    return unknown(f"terms hidden beyond O(t^{tail}) may violate the test")
+    return Decision("unknown", f"terms hidden beyond O(t^{tail}) may violate the test")
 
 
 def aggregate_decisions(decisions: Iterable[Decision]) -> Decision:

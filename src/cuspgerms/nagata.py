@@ -78,11 +78,6 @@ class LaurentObject:
             return self
         return LaurentObject(-self.poly, self.essential)
 
-    def __sub__(self, other: "LaurentObject") -> "LaurentObject":
-        if not isinstance(other, LaurentObject):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other: "LaurentObject") -> "LaurentObject":
         if not isinstance(other, LaurentObject):
             return NotImplemented
@@ -144,10 +139,6 @@ class DualSection:
     def __init__(self, base: LaurentObject, nil: LaurentObject | None = None):
         self.base = base
         self.nil = LaurentObject.zero() if nil is None else nil
-
-    @classmethod
-    def constant_one(cls) -> "DualSection":
-        return cls(LaurentObject.one())
 
     def reduction(self) -> LaurentObject:
         """Forget the nilpotent part."""

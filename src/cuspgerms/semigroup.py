@@ -14,7 +14,7 @@ from math import gcd
 class NumericalSemigroup:
     """The semigroup <p, q> generated by two coprime integers >= 2."""
 
-    __slots__ = ("p", "q", "_inv_q_mod_p", "_inv_p_mod_q")
+    __slots__ = ("p", "q", "_inv_q_mod_p")
 
     def __init__(self, p: int, q: int):
         if p < 2 or q < 2:
@@ -25,7 +25,6 @@ class NumericalSemigroup:
         self.p = p
         self.q = q
         self._inv_q_mod_p = pow(q, -1, p)
-        self._inv_p_mod_q = pow(p, -1, q)
 
     def contains(self, n: int) -> bool:
         """Whether n = a*p + b*q for some a, b >= 0.
@@ -55,7 +54,7 @@ class NumericalSemigroup:
         """
         if n < 0:
             return None
-        a = n * self._inv_p_mod_q % self.q
+        a = n * pow(self.p, -1, self.q) % self.q
         rest = n - a * self.p
         if rest < 0:
             return None

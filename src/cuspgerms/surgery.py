@@ -36,11 +36,6 @@ class Site:
         self.radius = Fraction(radius)
         self.curve = CuspCurve(index, index + 1)
 
-    @classmethod
-    def standard(cls, k: int) -> "Site":
-        """The site at center k with radius 1/3 and local model z1^k = z2^(k+1)."""
-        return cls(k)
-
     def ideal_exponent(self) -> int:
         """Least pullback exponent in the surgery ideal: k(k-1), which is also
         the conductor of <k, k+1>."""
@@ -104,7 +99,7 @@ class SurgeryCurve:
         """Sites 2..max_k in standard position."""
         if max_k < 2:
             raise ValueError(f"maxK must be >= 2, got {max_k}")
-        return cls(Site.standard(k) for k in range(2, max_k + 1))
+        return cls(Site(k) for k in range(2, max_k + 1))
 
     def site(self, k: int) -> Site:
         if not 2 <= k <= self.max_index:
@@ -229,11 +224,10 @@ def check_section_power(
     K = region_max_index
     if not 2 <= K <= curve.max_index:
         raise ValueError(f"region index must lie in 2..{curve.max_index}, got {K}")
-    per: dict[int, Decision] = {}
-    for site in curve.sites:
-        if site.index > K:
-            break
-        per[site.index] = site.decision_for_power(section.germ_at(site.index), n)
+    per = {
+        site.index: site.decision_for_power(section.germ_at(site.index), n)
+        for site in curve.sites[:K - 1]
+    }
     return PowerCheckReport(
         power=n, per_site=per, aggregate=aggregate_decisions(per.values())
     )

@@ -3,15 +3,19 @@
 Everything here recomputes library answers from first principles (literal
 enumeration, dynamic programming, floating point, sympy) or by the scans the
 library replaced with closed forms, so test expectations do not share code
-paths with the implementation under test.
+paths with the implementation under test.  The benchmark's library-free
+oracles, `perfbench/oracles.py`, are loaded by path as `bench`; its DP
+membership table is the one every test reads.
 """
 
 from __future__ import annotations
 
 import cmath
+import importlib.util
 import math
 import sys
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 from cuspgerms import (
@@ -45,24 +49,21 @@ def brute_representation(p: int, q: int, n: int) -> tuple[int, int] | None:
     return None
 
 
-def dp_membership(p: int, q: int, bound: int) -> bytearray:
-    """Membership table for 0..bound by dynamic programming.
+def _load_bench_oracles():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
-    dp[i] is true iff i is a sum of p's and q's; same definition as the
-    double loop, unrolled to run the big acceptance sweeps in time.
-    """
-    dp = bytearray(bound + 1)
-    dp[0] = 1
-    for i in range(min(p, q), bound + 1):
-        if (i >= p and dp[i - p]) or (i >= q and dp[i - q]):
-            dp[i] = 1
-    return dp
+
+bench = _load_bench_oracles()
 
 
 def dp_conductor(p: int, q: int) -> int:
     """One past the largest non-member of <p, q>, read off the DP table
     (every non-member lies below p*q)."""
-    dp = dp_membership(p, q, p * q)
+    dp = bench.membership(p, q, p * q)
     return max((i for i in range(p * q + 1) if not dp[i]), default=-1) + 1
 
 
@@ -306,7 +307,7 @@ def weak_generation_scan(curve) -> WeakGenerationReport:
     p, q = curve.p, curve.q
     r = min(p, q) - 1
     bound = (p - 1) * (q - 1) + r
-    table = dp_membership(p, q, bound)
+    table = bench.membership(p, q, bound)
 
     def covered(e: int, max_j: int) -> bool:
         return any(table[e - j] for j in range(min(max_j, e) + 1))

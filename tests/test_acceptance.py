@@ -27,7 +27,7 @@ from cuspgerms import (
 )
 
 from oracles import (
-    dp_membership,
+    bench,
     loglog_flatness_slope,
     numeric_weierstrass_coeffs,
     random_vanishing_germ,
@@ -67,7 +67,7 @@ def test_c01_semigroup_oracle_equivalence():
             c = s.conductor()
             assert c == (p - 1) * (q - 1)
             window = 2 * p * q
-            table = dp_membership(p, q, max(2000, c + window))
+            table = bench.membership(p, q, max(2000, c + window))
             for n in range(2001):
                 assert s.contains(n) == bool(table[n]), (p, q, n)
             # The conductor is the least N with [N, N + 2pq] inside S and
@@ -182,7 +182,7 @@ def test_c07_weak_generation():
             assert report.checked_up_to == top
             assert report.generates is True
             # independent recheck against the enumeration table
-            table = dp_membership(p, q, top)
+            table = bench.membership(p, q, top)
             for e in range(top + 1):
                 assert any(table[e - j] for j in range(min(r, e) + 1)), (p, q, e)
 

@@ -57,6 +57,23 @@ def test_zero_denominator_is_domain_error(capsys, spec):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this interpreter prints ints of any length")
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+@pytest.mark.parametrize("argv", [
+    # the conductor has about 4,400 digits
+    ["semigroup", "info", "--p", 10**2200, "--q", 10**2200 + 1, "--bound", 5],
+    # the pullback exponent a*q has about 6,000 digits
+    ["curve", "multiplier", "--p", 10**2000, "--q", 10**2000 + 1, "--a", 10**4000 - 1,
+     "--b", 0],
+], ids=["semigroup-info", "curve-multiplier"])
+def test_report_too_long_to_print_is_domain_error(capsys, argv, flags):
+    # str() refuses ints above the interpreter's digit limit (4,300 by default)
+    code, out, err = run(capsys, *flags, *map(str, argv))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_witness_out_of_range_is_domain_error(capsys):
     code, _, err = run(capsys, "rado", "witness", "--max-k", "5", "--n", "7")
     assert code == 1

@@ -7,28 +7,17 @@ arithmetic.  Here hypothesis draws small inputs, and each report of
 """
 
 import contextlib
-import importlib.util
 import io
 import json
 from fractions import Fraction
 from math import gcd
-from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import bench
+
 from cuspgerms.cli import main
-
-
-def _load_bench_oracles():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracles.py"
-    spec = importlib.util.spec_from_file_location("perfbench_oracles", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-bench = _load_bench_oracles()
 
 
 def coprime_pairs(limit: int):

@@ -80,7 +80,7 @@ def test_essential_cancellation_returns_plain_zero():
 
 
 def test_unit_and_nilpotent_squares():
-    one = DualSection.constant_one()
+    one = DualSection(LaurentObject.one())
     s = DualSection(obj(2), obj(-1))
     assert nagata_mul(one, s) == s
     eps_a = DualSection(LaurentObject.zero(), obj(3))

@@ -8,6 +8,7 @@ import pytest
 from cuspgerms import (
     CERTAINLY_YES,
     CuspCurve,
+    Decision,
     GlobalSection,
     LaurentGerm,
     NoWitnessInRange,
@@ -21,7 +22,6 @@ from cuspgerms import (
     n_omega,
     no_global_power_witness,
     parse_germ,
-    unknown,
     validate_star,
 )
 from oracles import (
@@ -39,7 +39,7 @@ T = LaurentGerm.monomial(1)
 
 
 def test_standard_site_layout():
-    s = Site.standard(3)
+    s = Site(3)
     assert s.index == 3
     assert s.center == Fraction(3)
     assert s.radius == Fraction(1, 3)
@@ -48,11 +48,11 @@ def test_standard_site_layout():
 
 def test_site_rejects_bad_index():
     with pytest.raises(ValueError):
-        Site.standard(1)
+        Site(1)
 
 
 def test_ideal_exponent_and_membership():
-    s = Site.standard(3)
+    s = Site(3)
     assert s.ideal_exponent() == 6
     assert s.ideal_contains(6)  # 3 + 3
     assert s.ideal_contains(7)  # 3 + 4
@@ -62,7 +62,7 @@ def test_ideal_exponent_and_membership():
     assert not s.ideal_contains(-1)
     # the ideal is exactly [k(k-1), oo) at exponent level
     for k in (2, 3, 5, 8):
-        site = Site.standard(k)
+        site = Site(k)
         base = site.ideal_exponent()
         assert all(site.ideal_contains(e) for e in range(base, base + 60))
         assert not any(site.ideal_contains(e) for e in range(0, base))
@@ -77,7 +77,7 @@ def test_validate_star_standard_layouts():
 
 
 def test_validate_star_single_site():
-    assert validate_star([Site.standard(2)])
+    assert validate_star([Site(2)])
 
 
 def test_validate_star_rejects_overlap():
@@ -114,9 +114,9 @@ def test_site_lookup():
 
 def test_sites_must_be_consecutive():
     with pytest.raises(ValueError):
-        SurgeryCurve([Site.standard(2), Site.standard(4)])
+        SurgeryCurve([Site(2), Site(4)])
     with pytest.raises(ValueError):
-        SurgeryCurve([Site.standard(3)])
+        SurgeryCurve([Site(3)])
 
 
 def test_surgery_curve_rejects_overlapping_disks():
@@ -307,7 +307,7 @@ def test_records_keep_fields_equality_and_repr():
     assert report == PowerCheckReport(power=3, per_site=dict(report.per_site),
                                       aggregate=CERTAINLY_YES)
     assert report != PowerCheckReport(4, report.per_site, CERTAINLY_YES)
-    assert report != PowerCheckReport(3, report.per_site, unknown("x"))
+    assert report != PowerCheckReport(3, report.per_site, Decision("unknown", "x"))
     yes = "Decision(kind='yes', reason=None, witness=None)"
     assert repr(report) == (
         f"PowerCheckReport(power=3, per_site={{2: {yes}, 3: {yes}}}, aggregate={yes})")
@@ -362,7 +362,7 @@ def test_vanishing_germs_closed_under_product():
 
 def test_ideal_contains_matches_representation_oracle():
     for k in range(2, 61):
-        site = Site.standard(k)
+        site = Site(k)
         for e in range(-5, k * k + 3 * k + 1):
             assert site.ideal_contains(e) == ideal_contains_by_representation(k, e), (k, e)
 
