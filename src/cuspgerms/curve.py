@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import UndecidableAtTruncation
-from .germ import CERTAINLY_YES, Decision, LaurentGerm, unknown_beyond
+from .germ import Decision, LaurentGerm
 from .semigroup import NumericalSemigroup
 
 
@@ -100,9 +100,7 @@ class CuspCurve:
         True exactly when every t-exponent lies in <p, q>; hidden tails are
         harmless once they start at or beyond the conductor.
         """
-        s = self.semigroup
-        c = s.conductor()
-        return f.exponents_within(s.contains, tail_satisfies=lambda t: t >= c)
+        return f.exponents_within(self.semigroup.contains, self.semigroup.conductor())
 
     def is_weakly_holomorphic(self, f: LaurentGerm) -> Decision:
         """Bounded near the cusp and holomorphic off it: all exponents >= 0.
@@ -110,7 +108,7 @@ class CuspCurve:
         The normalization is a homeomorphism here, so this coincides with
         being continuous with holomorphic pullback.
         """
-        return f.exponents_within(lambda e: e >= 0, tail_satisfies=lambda t: t >= 0)
+        return f.exponents_within(lambda e: e >= 0, 0)
 
     def holomorphy_witness(self, f: LaurentGerm) -> int | None:
         """Smallest stored exponent proving non-holomorphy, if any."""
@@ -118,21 +116,9 @@ class CuspCurve:
 
     def power_decision(self, f: LaurentGerm, n: int) -> Decision:
         """`is_holomorphic_at_cusp(f ** n)` for n >= 0, witness and reason
-        included, without building f ** n.
-
-        The terms of f^n below the conductor come lazily from Miller's
-        recurrence, in increasing exponent order; the walk stops at the first
-        gap (no), and otherwise f^n's tail settles it (proof in min_power).
-        """
-        s = self.semigroup
-        c = s.conductor()
-        for e, _, _ in f._power_walk(n, below=c):
-            if not s.contains(e):
-                return Decision("no", witness=e)
-        tail = f._power_tail(n)
-        if tail is None or tail >= c:
-            return CERTAINLY_YES
-        return unknown_beyond(tail)
+        included, without building f ** n (proof in
+        `LaurentGerm.exponents_within`)."""
+        return f.exponents_within(self.semigroup.contains, self.semigroup.conductor(), n)
 
     def min_power(self, f: LaurentGerm) -> int:
         """Smallest n >= 1 with f^n certified holomorphic at the cusp: the
@@ -145,15 +131,10 @@ class CuspCurve:
         exceeds N*lo, so f^N is yes.
 
         Each power is decided by `power_decision`, which equals the decision
-        of the full f^n.  The terms of f^n arrive in increasing exponent
-        order, and the walk asks only for those below c.  The first one at a
-        gap e is the least failing stored exponent, so f^n is no with witness
-        e, whatever lies above it.  If none comes, every stored exponent
-        below c is a member, and so is every one at or above c; the tail rule
-        of `is_holomorphic_at_cusp` applies to f^n's tail: yes when f^n is
-        exact or its tail (n-1)*lo + T is at least c, unknown for
-        O(t^((n-1)*lo + T)) otherwise.  No power is ever built, and no walk
-        passes c, however far f^n's stored part or tail reach.
+        of the full f^n (proof in `LaurentGerm.exponents_within`) and builds
+        no power.  For a truncated f the scan starts at
+        max(1, ceil((c - T)/lo) + 1): below it f^n's tail (n-1)*lo + T is
+        below c, so f^n is at best unknown.  An exact f starts at 1.
 
         A tail-only O(t^T) needs no scan: it has no terms, and its power
         O(t^(nT)) is yes exactly when nT >= c, unknown before.  For T > 0 the
@@ -183,7 +164,8 @@ class CuspCurve:
             raise UndecidableAtTruncation("power 1 undecidable at the germ's truncation")
         if lo >= 1:
             last = -(-cap // lo)
-            return next((n for n in range(1, last) if self.power_decision(f, n).is_yes), last)
+            first = 1 if f.is_exact() else max(1, -(-(cap - f.tail_bound) // lo) + 1)
+            return next((n for n in range(first, last) if self.power_decision(f, n).is_yes), last)
         # a unit: power 1 settles the whole scan
         verdict = self.is_holomorphic_at_cusp(f)
         if verdict.is_yes:

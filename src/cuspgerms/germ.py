@@ -120,11 +120,6 @@ class Decision:
 CERTAINLY_YES = Decision("yes")
 
 
-def unknown_beyond(tail: int) -> Decision:
-    """Unknown because terms from t^tail on are not stored."""
-    return Decision("unknown", f"terms hidden beyond O(t^{tail}) may violate the test")
-
-
 def aggregate_decisions(decisions: Iterable[Decision]) -> Decision:
     """Conjunction: yes only if every part is yes; any no wins over unknown."""
     verdict = CERTAINLY_YES
@@ -384,7 +379,7 @@ class LaurentGerm:
         k * R_k, a Gaussian integer, and dividing each part by k is exact.
         No gcd is taken inside the walk, and h_k != 0 exactly when
         R_k != 0, so a walk that only asks which terms are nonzero (as
-        `CuspCurve.power_decision` does) needs no conversion at all.  At the
+        `exponents_within` does) needs no conversion at all.  At the
         end h_k = N_0^(n-k) * R_k / D^n; with K the largest k and
         E = max(K - n, 0), every numerator N_0^(n+E-k) * R_k is a Gaussian
         integer over the denominator N_0^E * D^n, made positive and real by
@@ -417,11 +412,9 @@ class LaurentGerm:
         """
         if not isinstance(n, int):
             return NotImplemented
-        if n < 0:
-            raise ValueError(f"germ power must be >= 0, got {n}")
+        tail = self._power_tail(n)
         if n == 0:
             return LaurentGerm.one()
-        tail = self._power_tail(n)
         walk = list(self._power_walk(n))
         if not walk:
             return LaurentGerm._wrap({}, 1, tail)
@@ -441,7 +434,10 @@ class LaurentGerm:
         return LaurentGerm._reduced(dict(reversed(num.items())), m ** extra * self._den ** n, tail)
 
     def _power_tail(self, n: int) -> int | None:
-        """Tail bound of f**n for n >= 0: (n-1)*lo + T, or n*T for O(t^T)."""
+        """Tail bound of f**n for n >= 0: (n-1)*lo + T, or n*T for O(t^T).
+        A negative n raises ValueError."""
+        if n < 0:
+            raise ValueError(f"germ power must be >= 0, got {n}")
         if n == 0 or self._tail is None:
             return None
         if not self._num:
@@ -517,26 +513,42 @@ class LaurentGerm:
     # -- decisions ---------------------------------------------------------
 
     def exponents_within(
-        self,
-        predicate: Callable[[int], bool],
-        tail_satisfies: Callable[[int], bool] | None = None,
+        self, predicate: Callable[[int], bool], holds_from: int | None = None, power: int = 1
     ) -> Decision:
-        """Do all exponents of this germ satisfy the predicate?
+        """Do all exponents of this germ's `power`-th power (n >= 0) satisfy
+        the predicate?  Every decision on exponents is made here.
 
-        `tail_satisfies(T)` is the caller's certificate that every integer
-        >= T satisfies the predicate; without it a present tail forces an
-        unknown verdict.  A stored exponent that fails is decisive no matter
-        what the tail hides, since stored coefficients are exact and the
-        tail cannot cancel them; it is returned as the decision's witness.
+        `holds_from` is the caller's certificate that every integer >= it
+        satisfies the predicate.  A tail O(t^T) gives yes only when
+        T >= holds_from, and unknown otherwise or without a certificate.  A
+        stored exponent that fails is decisive no matter what the tail
+        hides, since stored coefficients are exact and the tail cannot
+        cancel them; the first one is returned as the decision's witness.
+
+        Power 1 reads the stored terms.  Any other power n reads the terms of
+        f^n from `_power_walk`, which asks only for those below `holds_from`,
+        and the tail from `_power_tail`; no power is built.  The walk yields
+        the terms of f^n in increasing exponent order, so the first one that
+        fails is the least failing stored exponent of f^n, and f^n is no
+        with it as witness, whatever lies above it.  If none fails, every
+        stored exponent below `holds_from` satisfies the predicate, and so
+        does every one at or above it: the tail rule decides, on f^n's tail
+        (n-1)*lo + T, or n*T for O(t^T).  So the decision equals that of the
+        built f ** n, witness and reason included.  f^0 is the exact unit.
         """
-        for e in self._num:
+        if power == 1:
+            exponents, tail = self._num, self._tail
+        elif power:  # a negative power raises in _power_tail
+            tail = self._power_tail(power)
+            exponents = (e for e, _, _ in self._power_walk(power, holds_from))
+        else:
+            exponents, tail = (0,), None
+        for e in exponents:
             if not predicate(e):
                 return Decision("no", witness=e)
-        if self._tail is None:
+        if tail is None or (holds_from is not None and tail >= holds_from):
             return CERTAINLY_YES
-        if tail_satisfies is not None and tail_satisfies(self._tail):
-            return CERTAINLY_YES
-        return unknown_beyond(self._tail)
+        return Decision("unknown", f"terms hidden beyond O(t^{tail}) may violate the test")
 
     # -- equality / rendering ----------------------------------------------
 

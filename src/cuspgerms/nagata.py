@@ -52,10 +52,7 @@ class LaurentObject:
     def extends_across_origin(self) -> bool:
         """Holomorphic continuation to 0 exists: no essential factor and no
         negative exponents.  The zero object extends."""
-        if self.essential:
-            return False
-        lo = self.poly.lowest_exponent()
-        return lo is None or lo >= 0
+        return not self.essential and self.poly.exponents_within(lambda e: e >= 0).is_yes
 
     def __add__(self, other: "LaurentObject") -> "LaurentObject":
         if not isinstance(other, LaurentObject):

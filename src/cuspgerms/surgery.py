@@ -131,9 +131,9 @@ def make_global_rado(
 
     By default the ideal ambiguity stays symbolic, t + O(t^(k(k-1))).  An
     explicit tail germ may be supplied per site; every stored exponent must
-    lie in the surgery ideal [k(k-1), oo) (see `Site.ideal_contains`), so
-    checking the lowest one suffices, and an inexact tail must start at or
-    beyond the ideal exponent.
+    lie in the surgery ideal [k(k-1), oo) (see `Site.ideal_contains`), and
+    an inexact tail must start at or beyond the ideal exponent.  The ideal
+    is upward-closed, so the first failing exponent is the lowest one.
     """
     tails = dict(explicit_tails) if explicit_tails else {}
     unknown_sites = set(tails) - {s.index for s in curve.sites}
@@ -147,16 +147,15 @@ def make_global_rado(
         if tail is None:
             per[k] = t + LaurentGerm.tail_only(site.ideal_exponent())
             continue
-        lowest = tail.lowest_exponent()
-        if lowest is not None and not site.ideal_contains(lowest):
+        verdict = tail.exponents_within(site.ideal_contains, site.ideal_exponent())
+        if verdict.is_no:
             raise ValueError(
-                f"tail exponent {lowest} at site {k} is outside the surgery ideal"
+                f"tail exponent {verdict.witness} at site {k} is outside the surgery ideal"
                 f" (needs k(k-1) = {site.ideal_exponent()} plus an admissible shift)"
             )
-        bound = tail.tail_bound
-        if bound is not None and bound < site.ideal_exponent():
+        if verdict.is_unknown:
             raise ValueError(
-                f"tail truncation O(t^{bound}) at site {k} reaches below the"
+                f"tail truncation O(t^{tail.tail_bound}) at site {k} reaches below the"
                 f" ideal exponent {site.ideal_exponent()}"
             )
         per[k] = t + tail

@@ -11,6 +11,7 @@ from cuspgerms import (
     CuspCurve,
     GaussianRational,
     LaurentGerm,
+    Site,
     UndecidableAtTruncation,
     WeierstrassPoly,
     parse_germ,
@@ -356,6 +357,40 @@ def test_power_decision_examples():
     assert c.power_decision(LaurentGerm.tail_only(3), 2).is_unknown
     assert c.power_decision(LaurentGerm.tail_only(3), 3).is_yes
     assert c.power_decision(LaurentGerm.tail_only(-1), 5).is_unknown
+
+
+def test_negative_power_decision_refuses_like_pow():
+    # the inverses of t + t^2 and 1 + t carry the gap t^1 of <2, 3>; a
+    # decision of f^-1 must refuse as f ** -1 does, never answer yes
+    c = CuspCurve(2, 3)
+    for text in ("t + t^2", "1 + t", "O(t^3)"):
+        f = parse_germ(text)
+        with pytest.raises(ValueError) as by_pow:
+            f ** -1
+        assert str(by_pow.value) == "germ power must be >= 0, got -1"
+        for decide in (c.power_decision, Site(3).decision_for_power):
+            with pytest.raises(ValueError) as by_decision:
+                decide(f, -1)
+            assert str(by_decision.value) == str(by_pow.value)
+
+
+def test_min_power_scan_starts_where_the_tail_can_reach_the_conductor(monkeypatch):
+    calls = []
+    decide = CuspCurve.power_decision
+
+    def counted(self, f, n):
+        calls.append(n)
+        return decide(self, f, n)
+
+    monkeypatch.setattr(CuspCurve, "power_decision", counted)
+    c = CuspCurve(31, 32)  # conductor 930
+    # f^n is at best unknown while its tail n - 1 + 50 is below 930
+    assert c.min_power(parse_germ("t + t^2 + O(t^50)")) == 930
+    assert calls == list(range(881, 930))
+    # an exact germ scans from 1
+    calls.clear()
+    assert CuspCurve(2, 3).min_power(parse_germ("t + t^2")) == 2
+    assert calls == [1]
 
 
 def test_vanishing_germ_scans_build_no_power(monkeypatch):

@@ -216,13 +216,13 @@ def test_exponents_within_yes_no_unknown():
     assert germ("t^-1 + t").exponents_within(even) == Decision("no")
     verdict = germ("t + O(t^5)").exponents_within(even)
     assert verdict == CERTAINLY_YES or verdict.is_unknown  # without certificate: unknown
-    assert germ("t + O(t^5)").exponents_within(even, tail_satisfies=lambda t: t >= 0).is_yes
+    assert germ("t + O(t^5)").exponents_within(even, holds_from=0).is_yes
 
 
 def test_tail_only_with_conductor_certificate():
     # membership in <2,3> holds for everything >= 2, so a tail at 5 is safe
     member = lambda e: e >= 0 and (e % 2 == 0 or e >= 3)
-    d = LaurentGerm.tail_only(5).exponents_within(member, tail_satisfies=lambda t: t >= 2)
+    d = LaurentGerm.tail_only(5).exponents_within(member, holds_from=2)
     assert d.is_yes
 
 
@@ -429,14 +429,14 @@ def test_pow_matches_iterated_mul(f, n):
     assert f ** n == by_mul
     assert f ** 1 == f
     assert f._power_tail(n) == by_mul.tail_bound
-    if n == 0:
-        return
-    # the lazy walk yields the exponents of f**n in order, and `below` cuts them
-    exponents = [e for e, _, _ in f._power_walk(n)]
-    assert exponents == by_mul.exponents()
-    cuts = exponents[::len(exponents) // 3 + 1] + [exponents[-1] + 1 if exponents else 0]
-    for below in cuts:
-        assert [e for e, _, _ in f._power_walk(n, below)] == [e for e in exponents if e < below]
+    # the lazy walk yields the exponents of f**n in order, and `below` cuts
+    # them; for n = 1, whose decisions read the stored terms, they are f's own
+    for m, power in ({1: f} if n == 0 else {1: f, n: by_mul}).items():
+        exponents = [e for e, _, _ in f._power_walk(m)]
+        assert exponents == power.exponents()
+        cuts = exponents[::len(exponents) // 3 + 1] + [exponents[-1] + 1 if exponents else 0]
+        for below in cuts:
+            assert [e for e, _, _ in f._power_walk(m, below)] == [e for e in exponents if e < below]
 
 
 def test_power_terms_are_computed_on_demand():
