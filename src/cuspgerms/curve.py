@@ -117,7 +117,13 @@ class CuspCurve:
     def power_decision(self, f: LaurentGerm, n: int) -> Decision:
         """`is_holomorphic_at_cusp(f ** n)` for n >= 0, witness and reason
         included, without building f ** n (proof in
-        `LaurentGerm.exponents_within`)."""
+        `LaurentGerm.exponents_within`).
+
+        This walk is now the fallback.  `min_power` and `stable_power` read a
+        vanishing germ's powers from their supports
+        (`LaurentGerm.power_kinds`), and walk a power as this does only when
+        the germ's coefficients can cancel and the power's support bound
+        holds a gap.  `Site.decision_for_power` walks every power here."""
         return f.exponents_within(self.semigroup.contains, self.semigroup.conductor(), n)
 
     def min_power(self, f: LaurentGerm) -> int:
@@ -130,9 +136,10 @@ class CuspCurve:
         exponent of f^N is at least N*lo >= c and its tail (N-1)*lo + T
         exceeds N*lo, so f^N is yes.
 
-        Each power is decided by `power_decision`, which equals the decision
-        of the full f^n (proof in `LaurentGerm.exponents_within`) and builds
-        no power.  For a truncated f the scan starts at
+        Each power's kind is that of `power_decision`, the decision of the
+        full f^n, read from the supports of the powers in one pass
+        (`LaurentGerm.power_kinds`, against the gap mask of <p, q>); no power
+        is built.  For a truncated f the scan starts at
         max(1, ceil((c - T)/lo) + 1): below it f^n's tail (n-1)*lo + T is
         below c, so f^n is at best unknown.  An exact f starts at 1.
 
@@ -165,7 +172,9 @@ class CuspCurve:
         if lo >= 1:
             last = -(-cap // lo)
             first = 1 if f.is_exact() else max(1, -(-(cap - f.tail_bound) // lo) + 1)
-            return next((n for n in range(first, last) if self.power_decision(f, n).is_yes), last)
+            kinds = f.power_kinds(self.semigroup.contains, cap, self.semigroup.gap_mask(),
+                                  range(first, last))
+            return next((n for n, kind in kinds if kind == "yes"), last)
         # a unit: power 1 settles the whole scan
         verdict = self.is_holomorphic_at_cusp(f)
         if verdict.is_yes:
@@ -181,7 +190,7 @@ class CuspCurve:
         an unknown power comes after it.  Every exponent of f^n is at least
         n*lo, and its tail (n-1)*lo + T exceeds n*lo, so every power with
         n*lo >= c is yes.  The scan therefore runs backward from
-        ceil(c/lo) - 1, with each power decided as in min_power.  Every power
+        ceil(c/lo) - 1, with each power's kind read as in min_power.  Every power
         above the first one that is not yes is yes.  If that power is no, it
         is the last no and nothing undecided follows it, so the answer is
         n + 1.  If it is unknown, an undecided power lies above every no.
@@ -196,11 +205,12 @@ class CuspCurve:
             raise ValueError("germ is not weakly holomorphic")
         c = self.semigroup.conductor()
         if lo >= 1:
-            for n in range(-(-c // lo) - 1, 0, -1):
-                verdict = self.power_decision(f, n)
-                if verdict.is_no:
+            kinds = f.power_kinds(self.semigroup.contains, c, self.semigroup.gap_mask(),
+                                  range(-(-c // lo) - 1, 0, -1))
+            for n, kind in kinds:
+                if kind == "no":
                     return n + 1
-                if verdict.is_unknown:
+                if kind == "unknown":
                     raise UndecidableAtTruncation(
                         "undecided powers above the last certain failure"
                     )

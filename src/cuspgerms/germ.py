@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -549,6 +549,116 @@ class LaurentGerm:
         if tail is None or (holds_from is not None and tail >= holds_from):
             return CERTAINLY_YES
         return Decision("unknown", f"terms hidden beyond O(t^{tail}) may violate the test")
+
+    def power_kinds(
+        self, predicate: Callable[[int], bool], holds_from: int, gaps: int, powers: range
+    ) -> Iterator[tuple[int, str]]:
+        """(n, kind) for each n in `powers`, in its order, where kind is that
+        of `exponents_within(predicate, holds_from, n)`.  The germ's lowest
+        exponent lo is >= 1, `gaps` is the bitset of the e < holds_from that
+        fail the predicate, and `powers` is a range of step 1 or -1 over
+        n >= 1.  The kinds come from the supports of the powers, in one pass.
+
+        Write f = t^lo * G, with S the stored offsets of G (0 among them).
+        The stored terms of f^n below holds_from are the t^(n*lo + k) with
+        k < X_n = min(holds_from - n*lo, T - lo) (no T - lo for an exact f)
+        and a nonzero coefficient of u^k in G^n (`_power_walk`).  Each such k
+        lies in the n-fold sumset nS, so A_n = nS ∩ [0, X_n) holds them all:
+        if (gaps >> n*lo) & A_n is zero, no stored exponent of f^n fails, and
+        the tail rule of `exponents_within` decides yes or unknown.  A hit is
+        a failing stored exponent, so f^n is no, whenever no coefficient can
+        cancel, that is, the support of G^n is all of nS (the one-variable
+        case of Ostrowski's rule: the Newton polytope of a product is the
+        Minkowski sum of the factors').  That holds when G has at most two
+        terms, since (a + b*u^j)^n has coefficients C(n, i) a^(n-i) b^i != 0,
+        and when every N_j * conj(N_0) is a positive real, since then
+        G^n = g_0^n * (1 + sum r_j u^j)^n with every r_j > 0.  For any other
+        germ a hit is settled by the walk.
+
+        Because 0 is in S and X_n never grows, A_n = (A_(n-1) ⊕ S) ∩ [0, X_n),
+        where ⊕ S ORs the shifts by every offset; a run of offsets in steps
+        of their gcd takes about log2 of its length in shifts.  The pass
+        stops updating once A_n = A_(n-1) ∩ [0, X_n): A_n is then closed
+        under adding S below X_n, and every later A_m is A_n cut to X_m (its
+        bits beyond X_m lie where `gaps >> m*lo` is zero).  With s the least
+        nonzero offset, an element of the monoid <S> below X_n is a sum of at
+        most (X_n - 1)/s nonzero offsets, so A_n = <S> ∩ [0, X_n) as soon as
+        X_n <= (n+1)*s.  From that power on, one bitset, the monoid spread
+        by each offset it lacks, answers every power without a pass; so a
+        scan that starts there, or reads down from the top, runs none.  A
+        descending range that reaches below it runs the pass once, keeping a
+        hit flag per power.
+        """
+        # imported here: a command that runs no pass (`nagata demo`) never runs semigroup.py
+        from .semigroup import doubling_shifts
+
+        terms = iter(self._num.items())
+        lo, (a0, b0) = next(terms)
+        rest = [(e - lo, z) for e, z in terms]
+        tail = self._tail
+        cancels = len(rest) > 1 and not all(
+            b * a0 == a * b0 and a * a0 + b * b0 > 0 for _, (a, b) in rest)
+
+        def kind(n: int, hit: int) -> str:
+            if hit:
+                return self.exponents_within(predicate, holds_from, n).kind if cancels else "no"
+            if tail is None or (n - 1) * lo + tail >= holds_from:
+                return "yes"
+            return "unknown"
+
+        reach = holds_from if tail is None else tail - lo  # X_n = min(holds_from - n*lo, reach)
+        live = [k for k, _ in rest if k < min(holds_from - lo, reach)]
+        settled = 1  # the first power that the monoid answers
+        monoid = 1
+        if live:
+            s = live[0]
+            settled = max(1, -(-(holds_from - s) // (lo + s)))
+            if tail is not None:
+                settled = max(1, min(settled, -(-(reach - s) // s)))
+            width = min(holds_from - settled * lo, reach)
+            for k in live:
+                if k < width and not monoid >> k & 1:
+                    for shift in doubling_shifts(k, -(-width // k)):
+                        monoid |= monoid << shift
+                    monoid &= (1 << width) - 1
+
+        def hits() -> Iterator[int]:
+            """(gaps >> n*lo) & A_n for n = 1, ..., settled - 1."""
+            step = gcd(*live)
+            runs: list[list[int]] = []  # [first offset, length] of each run
+            for k in [0, *live]:
+                if runs and runs[-1][0] + runs[-1][1] * step == k:
+                    runs[-1][1] += 1
+                else:
+                    runs.append([k, 1])
+            shifted = [(first, doubling_shifts(step, length)) for first, length in runs]
+            support, grows = 1, True
+            for n in range(1, settled):
+                if grows:
+                    mask = (1 << min(holds_from - n * lo, reach)) - 1  # X_n > 0 below settled
+                    grown = 0
+                    for first, shifts in shifted:
+                        part = support
+                        for shift in shifts:
+                            part |= part << shift
+                        grown |= part << first
+                    grown &= mask
+                    grows = grown != support & mask
+                    support = grown
+                yield gaps >> (n * lo) & support
+
+        if powers.step == 1:
+            early = islice(hits(), powers.start - 1, None)
+            for n in powers:
+                yield n, kind(n, next(early) if n < settled else gaps >> (n * lo) & monoid)
+            return
+        for n in range(powers.start, max(powers.stop, settled - 1), -1):
+            yield n, kind(n, gaps >> (n * lo) & monoid)
+        below = range(min(powers.start, settled - 1), powers.stop, -1)
+        if below:
+            flags = [bool(hit) for hit in islice(hits(), below.stop, below.start)]
+            for n in below:
+                yield n, kind(n, flags[n - below.stop - 1])
 
     # -- equality / rendering ----------------------------------------------
 

@@ -41,6 +41,22 @@ class NumericalSemigroup:
         """Least N such that every integer >= N is a member: (p-1)(q-1)."""
         return (self.p - 1) * (self.q - 1)
 
+    def gap_mask(self) -> int:
+        """The gaps as a bitset: bit e is set iff e is not a member.
+
+        Every gap lies below the conductor c.  With m = min(p, q) and
+        M = max(p, q), a member e has a representation a*m + b*M with b < m,
+        and then every e + k*m is a member too.  So the members below c are
+        the multiples of m, a closed-form bitset, shifted by each b*M < c,
+        in about log2(c/M) doubling shifts.
+        """
+        m, big = sorted((self.p, self.q))
+        c = self.conductor()
+        members = ((1 << (m * -(-c // m))) - 1) // ((1 << m) - 1)  # bits 0, m, 2m, ...
+        for shift in doubling_shifts(big, -(-c // big)):
+            members |= members << shift
+        return ((1 << c) - 1) & ~members
+
     def frobenius(self) -> int:
         """Largest integer not in the semigroup: pq - p - q."""
         return self.p * self.q - self.p - self.q
@@ -70,3 +86,17 @@ class NumericalSemigroup:
 
     def __repr__(self) -> str:
         return f"NumericalSemigroup({self.p}, {self.q})"
+
+
+def doubling_shifts(step: int, count: int) -> list[int]:
+    """Shifts s_1, s_2, ... such that `bits |= bits << s_i`, in turn, ORs
+    `count` copies of a bitset `step` apart: its sumset with the progression
+    0, step, ..., (count-1)*step.  Each shift doubles the run of copies made
+    so far, so there are about log2(count)."""
+    shifts = []
+    made = 1
+    while made < count:
+        more = min(made, count - made)
+        shifts.append(more * step)
+        made += more
+    return shifts

@@ -374,6 +374,29 @@ def test_power_scans_stop_at_the_conductor():
         ("CertainlyYes", 1, 1)] * 2
 
 
+def test_exact_power_scans_finish_on_a_large_curve():
+    # gamma:301,302 has conductor 90,300; one walk per power took 8 s for
+    # t + t^2 and 29 s for the width-10 germ, where one support pass that
+    # needs no walk takes under a second
+    script = textwrap.dedent("""
+        import contextlib, io, json
+        from cuspgerms.cli import main
+        results = []
+        for germ in ("t + t^2", " + ".join(f"t^{e}" for e in range(1, 11))):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["--json", "curve", "analyze", "--p", "301", "--q", "302",
+                             "--germ", germ]) == 0
+            results.append(json.loads(out.getvalue())["results"])
+        print(json.dumps(results))
+    """)
+    result = subprocess.run([sys.executable, "-c", script], env=_src_env(),
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    results = json.loads(result.stdout)
+    assert [(r["minPower"], r["stablePower"]) for r in results] == [(90300, 90300)] * 2
+
+
 def test_curve_analyze_report(capsys):
     report = run_json(capsys, "curve", "analyze", "--p", "3", "--q", "4")
     results = report["results"]

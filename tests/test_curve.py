@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -376,13 +377,14 @@ def test_negative_power_decision_refuses_like_pow():
 
 def test_min_power_scan_starts_where_the_tail_can_reach_the_conductor(monkeypatch):
     calls = []
-    decide = CuspCurve.power_decision
+    kinds = LaurentGerm.power_kinds
 
-    def counted(self, f, n):
-        calls.append(n)
-        return decide(self, f, n)
+    def counted(self, *args):
+        for n, kind in kinds(self, *args):
+            calls.append(n)
+            yield n, kind
 
-    monkeypatch.setattr(CuspCurve, "power_decision", counted)
+    monkeypatch.setattr(LaurentGerm, "power_kinds", counted)
     c = CuspCurve(31, 32)  # conductor 930
     # f^n is at best unknown while its tail n - 1 + 50 is below 930
     assert c.min_power(parse_germ("t + t^2 + O(t^50)")) == 930
@@ -404,6 +406,113 @@ def test_vanishing_germ_scans_build_no_power(monkeypatch):
     c = CuspCurve(41, 42)
     assert c.min_power(f) == 1640
     assert c.stable_power(f) == 1640
+
+
+@st.composite
+def coherent_germ(draw):
+    """A small curve and a vanishing germ whose coefficients are positive
+    rational multiples of one Gaussian number, so no power can cancel."""
+    curve = draw(st.sampled_from(SMALL_CURVES))
+    lo = draw(st.integers(1, 6))
+    re, im = draw(pairs)
+    exponents = [lo, *sorted(draw(st.sets(st.integers(lo + 1, lo + 12), max_size=4)))]
+    scales = draw(st.lists(st.fractions(min_value=Fraction(1, 3), max_value=4),
+                           min_size=len(exponents), max_size=len(exponents)))
+    terms = {e: GaussianRational(r * re, r * im) for e, r in zip(exponents, scales)}
+    tail = draw(st.one_of(st.none(), st.integers(exponents[-1] + 1, exponents[-1] + 20)))
+    return curve, LaurentGerm(terms, tail)
+
+
+@given(st.one_of(curve_and_germ(kinds=("vanishing",)), coherent_germ(), cancelling_germ()),
+       st.data())
+@settings(max_examples=200, deadline=None)
+def test_power_kinds_match_power_decision(germ_on_curve, data):
+    # every power that a scan can read, up and down, from any start
+    curve, f = germ_on_curve
+    c = curve.semigroup.conductor()
+    top = -(-c // f.lowest_exponent()) - 1
+    expected = {n: curve.power_decision(f, n).kind for n in range(1, top + 1)}
+    args = (curve.semigroup.contains, c, curve.semigroup.gap_mask())
+    start = data.draw(st.integers(1, top + 1))
+    for powers in (range(1, top + 1), range(top, 0, -1), range(start, top + 1),
+                   range(start - 1, 0, -1)):
+        assert list(f.power_kinds(*args, powers)) == [(n, expected[n]) for n in powers]
+
+
+def test_power_kinds_match_power_decision_on_a_grid():
+    # every germ t^lo * (1 + t^a + t^b) with small exponents, exact or
+    # truncated: the boundary where one bitset starts to answer every power
+    # falls at a different power for each
+    for curve in [CuspCurve(3, 5), CuspCurve(4, 5), CuspCurve(3, 7), CuspCurve(5, 7)]:
+        c = curve.semigroup.conductor()
+        args = (curve.semigroup.contains, c, curve.semigroup.gap_mask())
+        for lo in range(1, 6):
+            top = -(-c // lo) - 1
+            for offsets in [(), *combinations(range(1, 7), 1), *combinations(range(1, 7), 2)]:
+                for tail in (None, lo + 7, lo + 11):
+                    f = LaurentGerm({lo + k: 1 for k in (0, *offsets)}, tail)
+                    expected = [(n, curve.power_decision(f, n).kind) for n in range(1, top + 1)]
+                    assert list(f.power_kinds(*args, range(1, top + 1))) == expected
+                    assert list(f.power_kinds(*args, range(top, 0, -1))) == expected[::-1]
+
+
+def test_a_hit_of_a_cancelling_germ_counts_only_once_the_walk_confirms_it():
+    c = CuspCurve(3, 7)  # gaps 1, 2, 4, 5, 8, 11; conductor 12
+    f = parse_germ("t^3 + 2*t^4 - 2*t^5")
+    # f^2 stores no t^8, though 8 = 6 + 2 lies in the sumset bound of f^2
+    assert f ** 2 == parse_germ("t^6 + 4*t^7 - 8*t^9 + 4*t^10")
+    kinds = f.power_kinds(c.semigroup.contains, 12, c.semigroup.gap_mask(), range(1, 4))
+    assert list(kinds) == [(1, "no"), (2, "yes"), (3, "no")]
+    assert c.power_decision(f, 2).is_yes
+
+
+def _walked_powers(monkeypatch) -> list[int]:
+    """The powers that `exponents_within` decides from now on, by a walk
+    (or, for power 1, by reading the stored terms)."""
+    walked: list[int] = []
+    decide = LaurentGerm.exponents_within
+
+    def counted(self, predicate, holds_from=None, power=1):
+        walked.append(power)
+        return decide(self, predicate, holds_from, power)
+
+    monkeypatch.setattr(LaurentGerm, "exponents_within", counted)
+    return walked
+
+
+def test_power_scans_of_a_germ_that_cannot_cancel_walk_no_power(monkeypatch):
+    # two terms, or terms that are positive multiples of one Gaussian number
+    small = CuspCurve(5, 7)
+    germs = [parse_germ(text) for text in
+             ("t - t^2", "t + (0,1)*t^2 + O(t^30)", "(1,1)*t^2 + (2,2)*t^3 + (1/2,1/2)*t^7")]
+    want = [(min_power_scan(small, f), stable_power_scan(small, f)) for f in germs]
+
+    def refuse(*args):
+        raise AssertionError("a power was decided by a walk")
+
+    monkeypatch.setattr(CuspCurve, "power_decision", refuse)
+    monkeypatch.setattr(LaurentGerm, "_power_walk", refuse)
+    c = CuspCurve(31, 32)
+    assert c.min_power(parse_germ("t + t^2")) == c.stable_power(parse_germ("t + t^2")) == 930
+    assert [(small.min_power(f), small.stable_power(f)) for f in germs] == want
+
+
+def test_power_scans_of_a_cancelling_germ_walk_only_the_flagged_powers(monkeypatch):
+    c = CuspCurve(4, 5)  # gaps 1, 2, 3, 6, 7, 11; conductor 12
+    walked = _walked_powers(monkeypatch)
+    # t^4 + t^5 - t^8 can cancel, but the sumset bounds of f and f^2, 4 + {0, 1, 4}
+    # and 8 + {0, 1, 2} below 12, hold only members
+    f = parse_germ("t^4 + t^5 - t^8")
+    assert (c.min_power(f), c.stable_power(f)) == (1, 1)
+    assert walked == []
+    # every power of t + t^2 - t^3 below 12 has a gap in its bound; the walk
+    # finds that the t^11 of f^8 cancels, and f^8 is yes
+    f = parse_germ("t + t^2 - t^3")
+    assert c.min_power(f) == 8
+    assert walked == list(range(1, 9))
+    walked.clear()
+    assert c.stable_power(f) == 12
+    assert walked == [11]
 
 
 def test_stable_power_bounds_all_later_powers():

@@ -131,3 +131,12 @@ def test_conductor_boundary(pq):
     c = s.conductor()
     assert not s.contains(c - 1)
     assert all(s.contains(c + j) for j in range(0, 2 * pq[0] * pq[1], 7))
+
+
+def test_gap_mask_is_the_contains_table_below_the_conductor():
+    # both generator orders, every coprime pair up to 30, and one large curve
+    pairs = [(p, q) for p in range(2, 31) for q in range(p + 1, 31) if math.gcd(p, q) == 1]
+    for p, q in pairs + [(301, 302)]:
+        for s in (NumericalSemigroup(p, q), NumericalSemigroup(q, p)):
+            table = sum(1 << e for e in range(s.conductor()) if not s.contains(e))
+            assert s.gap_mask() == table, (p, q)
