@@ -186,7 +186,18 @@ class LaurentGerm:
     polynomial.  The form is primitive (Knuth, TAOCP vol. 2, 4.6.1):
     gcd(D, every numerator part) = 1.  A germ has exactly one primitive
     form, so equality and hashing compare the stored data directly, and
-    arithmetic runs on plain ints with one gcd per result.
+    arithmetic runs on plain ints with at most one gcd per result.
+
+    Products and powers mostly need no gcd against the whole product
+    denominator.  Cross-cancellation, as in `Fraction` multiplication
+    (Knuth, TAOCP vol. 2, 4.5.1), lifts to germs by Gauss's lemma,
+    content(N1*N2) = content(N1) * content(N2) over Z: the product of two
+    primitive germs N1/D1 and N2/D2 has common content exactly
+    gcd(D1, content N2) * gcd(D2, content N1).  Two conditions hold it:
+    every numerator is real (the lemma fails for the parts of Gaussian
+    numerators, as (1 + i)(1 - i) = 2), and no term pair is cut by the
+    tail (a dropped term may be what kept a factor out of the content).
+    The proof is in `__mul__`; `__pow__` uses the same rule.
 
     Invariants: no stored numerator is zero, stored exponents are strictly
     below the tail bound when one is present, iteration over terms is in
@@ -291,12 +302,6 @@ class LaurentGerm:
             return next(iter(self._num))
         return None
 
-    def _support_bound(self) -> int | None:
-        """Lower bound for every exponent that can occur, tail included; None if zero."""
-        if self._num:
-            return next(iter(self._num))
-        return self._tail
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "LaurentGerm") -> "LaurentGerm":
@@ -324,33 +329,76 @@ class LaurentGerm:
         return self + (-other)
 
     def __mul__(self, other: "LaurentGerm") -> "LaurentGerm":
+        """The product, made primitive by cross-cancellation when it can be.
+
+        As `Fraction` multiplies a/b by c/d (Knuth, TAOCP vol. 2, 4.5.1),
+        the product N1*N2 / (D1*D2) of two primitive germs needs only
+        g1 = gcd(D1, content N2) and g2 = gcd(D2, content N1), each a gcd
+        of a large number against a small one, not one gcd of the whole
+        product denominator against every product numerator.  By Gauss's
+        lemma content(N1*N2) = content(N1) * content(N2) over Z, and since
+        gcd(D1, content N1) = gcd(D2, content N2) = 1, each prime p gives
+        min(v_p(c1) + v_p(c2), v_p(D1) + v_p(D2)) = min(v_p(c1), v_p(D2))
+        + min(v_p(c2), v_p(D1)): the common content of the product is
+        exactly g1 * g2.  That needs two conditions:
+
+        - every numerator of both factors is real, since the lemma fails
+          for the parts of Gaussian numerators: (1 + i)(1 - i) = 2;
+        - no term pair is cut by the product's tail, since a dropped term
+          may be what kept a factor out of the content:
+          (t + t^2/2 + O(t^3)) * (t + t^2/2) keeps t^2 + t^3 of
+          t^2 + t^3 + t^4/4.
+
+        Any other product takes the one gcd of `_reduced`.
+        """
         if not isinstance(other, LaurentGerm):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return LaurentGerm()
-        # neither is zero, so both have a support bound
+        left, right = self._num, other._num
+        t1, t2 = self._tail, other._tail
+        if not left and t1 is None or not right and t2 is None:
+            return LaurentGerm()  # an exact zero
+        # neither is zero, so each is bounded below by its lowest term or its tail
         tail: int | None = None
-        if other._tail is not None:
-            tail = self._support_bound() + other._tail
-        if self._tail is not None:
-            t = self._tail + other._support_bound()
-            tail = t if tail is None else min(tail, t)
-        if tail is None:
-            # both exact and nonzero, so both store terms
-            limit = next(reversed(self._num)) + next(reversed(other._num)) + 1
-        else:
-            limit = tail
+        if t2 is not None:
+            tail = (next(iter(left)) if left else t1) + t2
+        if t1 is not None:
+            t = t1 + (next(iter(right)) if right else t2)
+            if tail is None or t < tail:
+                tail = t
+        if not left or not right:
+            return LaurentGerm._wrap({}, 1, tail)
+        top = next(reversed(left)) + next(reversed(right))  # the highest pair
+        whole = tail is None or top < tail  # no pair is cut
+        limit = top + 1 if whole else tail
+        d1, d2 = self._den, other._den
+        g1, g2 = d1, d2  # become gcd(D1, content N2) and gcd(D2, content N1)
+        imag = 0  # nonzero once an imaginary part is
+        if whole:
+            for c, d in right.values():
+                g1 = gcd(g1, c)
+                imag |= d
+            for a, b in left.values():
+                g2 = gcd(g2, a)
+                imag |= b
+        pairs = right.items()
         prod: dict[int, Gaussian] = {}
-        right = other._num.items()
-        for e1, (a, b) in self._num.items():
-            for e2, (c, d) in right:
+        for e1, (a, b) in left.items():
+            for e2, (c, d) in pairs:
                 e = e1 + e2
                 if e >= limit:
                     break  # terms are sorted, so every later e2 is past it too
                 prev = prod.get(e, _ZERO)
                 prod[e] = prev[0] + a * c - b * d, prev[1] + a * d + b * c
-        num = {e: z for e, z in sorted(prod.items()) if z[0] or z[1]}
-        return LaurentGerm._reduced(num, self._den * other._den, tail)
+        if len(left) > 1 and len(right) > 1:
+            # pairs meet out of exponent order, and their sums may cancel; a
+            # single pair of nonzero Gaussian integers has a nonzero product
+            prod = {e: z for e, z in sorted(prod.items()) if z[0] or z[1]}
+        if imag or not whole:
+            return LaurentGerm._reduced(prod, d1 * d2, tail)
+        if g1 != 1 or g2 != 1:
+            g = g1 * g2
+            prod = {e: (re // g, 0) for e, (re, _) in prod.items()}
+        return LaurentGerm._wrap(prod, d1 // g1 * (d2 // g2), tail)
 
     def __pow__(self, n: int) -> "LaurentGerm":
         """J.C.P. Miller's power recurrence (Knuth, TAOCP vol. 2, 4.7), run
@@ -384,7 +432,11 @@ class LaurentGerm:
         E = max(K - n, 0), every numerator N_0^(n+E-k) * R_k is a Gaussian
         integer over the denominator N_0^E * D^n, made positive and real by
         N_0 * w = m (w the sign of a real N_0, else its conjugate).  One gcd
-        then makes the result primitive.
+        then makes the result primitive, except where the cross-cancellation
+        rule of `__mul__` shows it already is: for a real germ with E = 0
+        whose walk reached the degree n*(hi - lo) uncut by the tail, the
+        result is N^n / D^n, and by Gauss's lemma content(N^n) = content(N)^n
+        is prime to D^n.
 
         Tail: h_k involves g_j for j <= k only.  For f = F + O(t^T) the stored
         part F fixes g_j for j < T - lo, hence h_k for k < T - lo, which are
@@ -431,7 +483,11 @@ class LaurentGerm:
                 scale = _gmul(scale, _gpow(n0, at - k))
                 at = k
             num[e] = _gmul(scale, r)
-        return LaurentGerm._reduced(dict(reversed(num.items())), m ** extra * self._den ** n, tail)
+        num = dict(reversed(num.items()))
+        if extra or walk[-1][0] < n * next(reversed(self._num)) or any(
+                b for _, b in self._num.values()):
+            return LaurentGerm._reduced(num, m ** extra * self._den ** n, tail)
+        return LaurentGerm._wrap(num, self._den ** n, tail)
 
     def _power_tail(self, n: int) -> int | None:
         """Tail bound of f**n for n >= 0: (n-1)*lo + T, or n*T for O(t^T).
@@ -474,8 +530,12 @@ class LaurentGerm:
         step = gcd(*(j for j, _ in offsets)) or width
         count = -(-width // step)
         # (j, N_j * N_0^(j-1)) in steps, for the j the walk can reach
-        rest = [(j, _gmul(z, _gpow(n0, j - 1)))
-                for j, z in ((j // step, z) for j, z in offsets) if j < count]
+        rest = []
+        for j, z in offsets:
+            j //= step
+            if j >= count:
+                break
+            rest.append((j, _gmul(z, _gpow(n0, j - 1))))
         R: list[Gaussian] = [(1, 0)]
         yield base, 0, R[0]
         for k in range(1, count):
@@ -525,7 +585,9 @@ class LaurentGerm:
         hides, since stored coefficients are exact and the tail cannot
         cancel them; the first one is returned as the decision's witness.
 
-        Power 1 reads the stored terms.  Any other power n reads the terms of
+        The predicate is asked only about exponents below `holds_from`.
+        Power 1 reads the stored terms, in increasing order, up to the first
+        at or above `holds_from`.  Any other power n reads the terms of
         f^n from `_power_walk`, which asks only for those below `holds_from`,
         and the tail from `_power_tail`; no power is built.  The walk yields
         the terms of f^n in increasing exponent order, so the first one that
@@ -544,6 +606,8 @@ class LaurentGerm:
         else:
             exponents, tail = (0,), None
         for e in exponents:
+            if holds_from is not None and e >= holds_from:
+                break  # exponents increase, and every one from here on holds
             if not predicate(e):
                 return Decision("no", witness=e)
         if tail is None or (holds_from is not None and tail >= holds_from):

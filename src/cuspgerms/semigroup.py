@@ -14,7 +14,7 @@ from math import gcd
 class NumericalSemigroup:
     """The semigroup <p, q> generated by two coprime integers >= 2."""
 
-    __slots__ = ("p", "q", "_inv_q_mod_p")
+    __slots__ = ("p", "q", "_inv_q_mod_p", "_conductor", "_gaps")
 
     def __init__(self, p: int, q: int):
         if p < 2 or q < 2:
@@ -25,6 +25,8 @@ class NumericalSemigroup:
         self.p = p
         self.q = q
         self._inv_q_mod_p = pow(q, -1, p)
+        self._conductor = (p - 1) * (q - 1)
+        self._gaps: int | None = None  # built by the first gap_mask()
 
     def contains(self, n: int) -> bool:
         """Whether n = a*p + b*q for some a, b >= 0.
@@ -39,7 +41,7 @@ class NumericalSemigroup:
 
     def conductor(self) -> int:
         """Least N such that every integer >= N is a member: (p-1)(q-1)."""
-        return (self.p - 1) * (self.q - 1)
+        return self._conductor
 
     def gap_mask(self) -> int:
         """The gaps as a bitset: bit e is set iff e is not a member.
@@ -48,14 +50,17 @@ class NumericalSemigroup:
         M = max(p, q), a member e has a representation a*m + b*M with b < m,
         and then every e + k*m is a member too.  So the members below c are
         the multiples of m, a closed-form bitset, shifted by each b*M < c,
-        in about log2(c/M) doubling shifts.
+        in about log2(c/M) doubling shifts.  The mask is built on the first
+        call and kept, so every later scan on this semigroup reads it.
         """
-        m, big = sorted((self.p, self.q))
-        c = self.conductor()
-        members = ((1 << (m * -(-c // m))) - 1) // ((1 << m) - 1)  # bits 0, m, 2m, ...
-        for shift in doubling_shifts(big, -(-c // big)):
-            members |= members << shift
-        return ((1 << c) - 1) & ~members
+        if self._gaps is None:
+            m, big = sorted((self.p, self.q))
+            c = self._conductor
+            members = ((1 << (m * -(-c // m))) - 1) // ((1 << m) - 1)  # bits 0, m, 2m, ...
+            for shift in doubling_shifts(big, -(-c // big)):
+                members |= members << shift
+            self._gaps = ((1 << c) - 1) & ~members
+        return self._gaps
 
     def frobenius(self) -> int:
         """Largest integer not in the semigroup: pq - p - q."""

@@ -242,6 +242,35 @@ def test_no_decision_carries_first_failing_exponent():
     assert germ("t + O(t^5)").exponents_within(lambda e: e >= 0).witness is None
 
 
+def test_exponents_within_asks_the_predicate_only_below_holds_from():
+    unknown = Decision("unknown", "terms hidden beyond O(t^35) may violate the test")
+    cases = [
+        # (germ, power, holds_from, decision, witness, exponents asked)
+        ("t + t^50 + t^60", 1, 40, CERTAINLY_YES, None, [1]),
+        ("t^3 + t^50 + t^60", 1, 40, Decision("no"), 3, [3]),
+        ("t + t^50 + t^60", 1, 55, Decision("no"), 50, [1, 50]),
+        ("t + t^50 + t^60", 2, 40, CERTAINLY_YES, None, [2]),
+        ("t + t^30 + O(t^35)", 1, 20, CERTAINLY_YES, None, [1]),
+        ("t + t^30 + O(t^35)", 1, 40, unknown, None, [1, 30]),
+    ]
+    for text, power, holds_from, decision, witness, want in cases:
+        # every exponent >= holds_from holds; below it only 1, 2 and 30 do
+        def member(e):
+            return e in (1, 2, 30) or e >= holds_from
+
+        asked = []
+
+        def recording(e):
+            asked.append(e)
+            return member(e)
+
+        d = germ(text).exponents_within(recording, holds_from, power)
+        assert (d, d.reason, d.witness, asked) == (decision, decision.reason, witness, want)
+        # the decision a predicate asked about every exponent of f^n gives
+        exponents = (germ(text) ** power).exponents()
+        assert d.witness == next((e for e in exponents if not member(e)), None)
+
+
 def test_decision_value_contract():
     no3, no5 = Decision("no", witness=3), Decision("no", None, 5)
     # equality and hash read kind and reason; the witness is not compared
@@ -526,6 +555,58 @@ def test_primitive_form_examples():
     assert (total._num, total._den) == ({0: (1, 0)}, 1)
     assert (germ("1/3*t") - germ("1/3*t"))._den == 1
     assert (germ("(1/2,1/2)*t") * germ("(1,-1)"))._num == {1: (1, 0)}
+
+
+def by_fractions(f: LaurentGerm, g: LaurentGerm) -> LaurentGerm:
+    """f * g with the coefficients multiplied as `Fraction`s, then built by
+    the constructor (which drops the terms at or beyond the tail)."""
+    terms = [(e1 + e2, GaussianRational(a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re))
+             for e1, a in f.items() for e2, b in g.items()]
+    return LaurentGerm(terms, (f * g).tail_bound)
+
+
+def test_cross_cancellation_needs_real_numerators_and_no_cut_pair():
+    # a cut pair: the dropped t^4/4 is what kept the 4 in the denominator
+    cut = germ("t + 1/2*t^2 + O(t^3)")
+    product = cut * germ("t + 1/2*t^2")
+    assert product == germ("t^2 + t^3 + O(t^4)") and product._den == 1
+    assert cut ** 2 == germ("t^2 + t^3 + O(t^4)") and (cut ** 2)._den == 1
+    # Gaussian numerators: (1 + i)(1 - i) = 2
+    assert germ("(1/2,1/2)*t") * germ("(1,-1)*t") == germ("t^2")
+    square = germ("(1/2,1/2)*t") ** 2
+    assert square == germ("(0,1/2)*t^2")
+    assert (square._num, square._den) == ({2: (0, 1)}, 2)
+    # a real power whose walk runs past n steps (E > 0) is put over N_0^E * D^n
+    assert germ("2 + t + t^2") ** 2 == germ("4 + 4*t + 5*t^2 + 2*t^3 + t^4")
+
+
+real_coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+# halves make Gaussian parts whose products gain a common factor, as (1 + i)(1 - i) = 2
+halves = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+cross_cancelled_germs = st.one_of(
+    # real exact, real truncated, Gaussian exact or truncated
+    st.builds(LaurentGerm, st.dictionaries(st.integers(-3, 6), real_coeffs, max_size=4)),
+    st.builds(LaurentGerm, st.dictionaries(st.integers(-3, 6), real_coeffs, max_size=4),
+              st.integers(-2, 8)),
+    st.builds(LaurentGerm,
+              st.dictionaries(st.integers(-3, 6), st.builds(GaussianRational, halves, halves),
+                              max_size=3),
+              st.one_of(st.none(), st.integers(-2, 8))),
+)
+
+
+@given(cross_cancelled_germs, cross_cancelled_germs, st.integers(0, 6))
+@settings(max_examples=300, deadline=None)
+def test_products_and_powers_are_primitive_and_equal_their_fraction_form(f, g, n):
+    product = f * g
+    assert_primitive(product)
+    assert product == by_fractions(f, g)
+    power = f ** n
+    assert_primitive(power)
+    by_mul = LaurentGerm.one()
+    for _ in range(n):
+        by_mul = by_fractions(by_mul, f)
+    assert power == by_mul
 
 
 @given(tailed_germs, tailed_germs, st.integers(0, 6), st.integers(-3, 3), coeffs)

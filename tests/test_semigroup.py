@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspgerms import NumericalSemigroup
+from cuspgerms import CuspCurve, NumericalSemigroup, parse_germ, semigroup
 from oracles import brute_contains, brute_representation
 
 coprime_pairs = st.tuples(st.integers(2, 30), st.integers(2, 30)).filter(
@@ -140,3 +140,24 @@ def test_gap_mask_is_the_contains_table_below_the_conductor():
         for s in (NumericalSemigroup(p, q), NumericalSemigroup(q, p)):
             table = sum(1 << e for e in range(s.conductor()) if not s.contains(e))
             assert s.gap_mask() == table, (p, q)
+
+
+def test_gap_mask_is_built_once_per_semigroup(monkeypatch):
+    # the mask is the one bitset built with shifts by the larger generator
+    built = []
+    doubling_shifts = semigroup.doubling_shifts
+
+    def counted(step, count):
+        built.append(step)
+        return doubling_shifts(step, count)
+
+    monkeypatch.setattr(semigroup, "doubling_shifts", counted)
+    curve = CuspCurve(5, 7)
+    s = curve.semigroup
+    assert s.conductor() == 24
+    # both scans of `curve analyze` read the mask of one semigroup
+    f = parse_germ("t + t^2")
+    assert (curve.min_power(f), curve.stable_power(f)) == (24, 24)
+    assert built.count(7) == 1
+    assert s.gap_mask() is s.gap_mask()
+    assert built.count(7) == 1
