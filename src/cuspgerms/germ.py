@@ -530,12 +530,8 @@ class LaurentGerm:
         step = gcd(*(j for j, _ in offsets)) or width
         count = -(-width // step)
         # (j, N_j * N_0^(j-1)) in steps, for the j the walk can reach
-        rest = []
-        for j, z in offsets:
-            j //= step
-            if j >= count:
-                break
-            rest.append((j, _gmul(z, _gpow(n0, j - 1))))
+        rest = [(j, _gmul(z, _gpow(n0, j - 1)))
+                for j, z in ((j // step, z) for j, z in offsets) if j < count]
         R: list[Gaussian] = [(1, 0)]
         yield base, 0, R[0]
         for k in range(1, count):
@@ -585,9 +581,7 @@ class LaurentGerm:
         hides, since stored coefficients are exact and the tail cannot
         cancel them; the first one is returned as the decision's witness.
 
-        The predicate is asked only about exponents below `holds_from`.
-        Power 1 reads the stored terms, in increasing order, up to the first
-        at or above `holds_from`.  Any other power n reads the terms of
+        Power 1 reads the stored terms.  Any other power n reads the terms of
         f^n from `_power_walk`, which asks only for those below `holds_from`,
         and the tail from `_power_tail`; no power is built.  The walk yields
         the terms of f^n in increasing exponent order, so the first one that
@@ -606,8 +600,6 @@ class LaurentGerm:
         else:
             exponents, tail = (0,), None
         for e in exponents:
-            if holds_from is not None and e >= holds_from:
-                break  # exponents increase, and every one from here on holds
             if not predicate(e):
                 return Decision("no", witness=e)
         if tail is None or (holds_from is not None and tail >= holds_from):

@@ -14,7 +14,7 @@ from math import gcd
 class NumericalSemigroup:
     """The semigroup <p, q> generated by two coprime integers >= 2."""
 
-    __slots__ = ("p", "q", "_inv_q_mod_p", "_conductor", "_gaps")
+    __slots__ = ("p", "q", "_inv_q_mod_p", "_gaps")
 
     def __init__(self, p: int, q: int):
         if p < 2 or q < 2:
@@ -25,7 +25,6 @@ class NumericalSemigroup:
         self.p = p
         self.q = q
         self._inv_q_mod_p = pow(q, -1, p)
-        self._conductor = (p - 1) * (q - 1)
         self._gaps: int | None = None  # built by the first gap_mask()
 
     def contains(self, n: int) -> bool:
@@ -41,7 +40,7 @@ class NumericalSemigroup:
 
     def conductor(self) -> int:
         """Least N such that every integer >= N is a member: (p-1)(q-1)."""
-        return self._conductor
+        return (self.p - 1) * (self.q - 1)
 
     def gap_mask(self) -> int:
         """The gaps as a bitset: bit e is set iff e is not a member.
@@ -55,7 +54,7 @@ class NumericalSemigroup:
         """
         if self._gaps is None:
             m, big = sorted((self.p, self.q))
-            c = self._conductor
+            c = self.conductor()
             members = ((1 << (m * -(-c // m))) - 1) // ((1 << m) - 1)  # bits 0, m, 2m, ...
             for shift in doubling_shifts(big, -(-c // big)):
                 members |= members << shift

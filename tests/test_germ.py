@@ -242,35 +242,6 @@ def test_no_decision_carries_first_failing_exponent():
     assert germ("t + O(t^5)").exponents_within(lambda e: e >= 0).witness is None
 
 
-def test_exponents_within_asks_the_predicate_only_below_holds_from():
-    unknown = Decision("unknown", "terms hidden beyond O(t^35) may violate the test")
-    cases = [
-        # (germ, power, holds_from, decision, witness, exponents asked)
-        ("t + t^50 + t^60", 1, 40, CERTAINLY_YES, None, [1]),
-        ("t^3 + t^50 + t^60", 1, 40, Decision("no"), 3, [3]),
-        ("t + t^50 + t^60", 1, 55, Decision("no"), 50, [1, 50]),
-        ("t + t^50 + t^60", 2, 40, CERTAINLY_YES, None, [2]),
-        ("t + t^30 + O(t^35)", 1, 20, CERTAINLY_YES, None, [1]),
-        ("t + t^30 + O(t^35)", 1, 40, unknown, None, [1, 30]),
-    ]
-    for text, power, holds_from, decision, witness, want in cases:
-        # every exponent >= holds_from holds; below it only 1, 2 and 30 do
-        def member(e):
-            return e in (1, 2, 30) or e >= holds_from
-
-        asked = []
-
-        def recording(e):
-            asked.append(e)
-            return member(e)
-
-        d = germ(text).exponents_within(recording, holds_from, power)
-        assert (d, d.reason, d.witness, asked) == (decision, decision.reason, witness, want)
-        # the decision a predicate asked about every exponent of f^n gives
-        exponents = (germ(text) ** power).exponents()
-        assert d.witness == next((e for e in exponents if not member(e)), None)
-
-
 def test_decision_value_contract():
     no3, no5 = Decision("no", witness=3), Decision("no", None, 5)
     # equality and hash read kind and reason; the witness is not compared
