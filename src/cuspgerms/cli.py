@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable
 
 # library modules are read through their module objects when a handler runs,
@@ -27,6 +27,41 @@ _MAX_TABLE_BOUND = 10**6  # `semigroup info --bound`; the table has bound + 1 ro
 _MAX_NAGATA_POW = 10**4  # `nagata demo --max-pow`; one row per power
 _MAX_SITES = 10**4  # `--max-k` of `rado witness` and `theorem1 bound`; one site each
 _MAX_CONDUCTOR = 10**5  # `curve analyze`: (p-1)(q-1); the power scans grow with it
+
+
+def _json(value: Any, pad: str = "\n") -> str:
+    """`json.dumps(value, indent=2, default=str)`, byte for byte, for the
+    values reports hold (no floats), in one pass with the C string escaper:
+    json's indented encoding runs its pure-Python encoder.  `pad` is the
+    newline and indent that close the value's brackets."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)  # raises ValueError past the digit limit
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if all(type(v) is int for v in value):  # membership tables; bools excluded
+            body = ("," + inner).join(map(int.__repr__, value))
+        else:
+            body = ("," + inner).join([_json(v, inner) for v in value])
+        return f"[{inner}{body}{pad}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        body = ("," + inner).join([
+            f"{_quote(k if isinstance(k, str) else int.__repr__(k))}: {_json(v, inner)}"
+            for k, v in value.items()
+        ])
+        return f"{{{inner}{body}{pad}}}"
+    return _quote(str(value))  # decisions, germs, fractions
 
 
 def _render_human(report: dict[str, Any]) -> str:
@@ -369,10 +404,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         report = args.handler(args)
-        # rendering raises ValueError for an int too long for str(); tuples
-        # print as lists, int keys as strings, and str() renders decisions,
-        # germs and fractions
-        text = json.dumps(report, indent=2, default=str) if args.json else _render_human(report)
+        # rendering raises ValueError for an int too long for str(); _json
+        # gives the bytes of json.dumps(report, indent=2, default=str)
+        text = _json(report) if args.json else _render_human(report)
     except (CuspGermsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -215,8 +215,8 @@ class CuspCurve:
                         "undecided powers above the last certain failure"
                     )
             return 1
-        # a unit: every power decides like f (proof in min_power); the
-        # messages keep the c + pq bound of tests/oracles.py::stable_power_scan
+        # a unit: every power decides like f (proof in min_power); the messages
+        # keep the c + pq bound of tests/independent_oracles.py::stable_power_scan
         verdict = self.is_holomorphic_at_cusp(f)
         if verdict.is_yes:
             return 1
@@ -260,7 +260,7 @@ class CuspCurve:
         generate.  The powers 0..r-1 never do: for e = m - 1, which is
         within the bound, every e - j with 0 <= j <= r - 1 lies in
         [1, m - 1], below every nonzero member.  The scan this replaces is
-        tests/oracles.py::weak_generation_scan.
+        tests/independent_oracles.py::weak_generation_scan.
         """
         r = self.weak_generator_count()
         return WeakGenerationReport(

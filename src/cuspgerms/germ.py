@@ -734,22 +734,20 @@ class LaurentGerm:
         return self.to_str()
 
     def to_str(self, var: str = "t") -> str:
-        """Render in the input grammar: `c*t^e + ... + O(t^T)`."""
+        """Render in the input grammar: `c*t^e + ... + O(t^T)`, each
+        coefficient part as `str(Fraction)` renders it."""
+        den = self._den
         parts: list[str] = []
-        for e, c in self.items():
-            if c.im:
-                body = f"({c.re},{c.im})"
-                sign = "+"
+        for e, (re, im) in self._num.items():
+            if im:
+                body, sign = f"({_ratio(re, den)},{_ratio(im, den)})", "+"
             else:
-                sign = "-" if c.re < 0 else "+"
-                mag = abs(c.re)
-                body = str(mag)
-            if e != 0:
+                # a unit coefficient of a power of t prints as the power alone
+                body = "" if e and abs(re) == den else _ratio(abs(re), den)
+                sign = "-" if re < 0 else "+"
+            if e:
                 power = var if e == 1 else f"{var}^{e}"
-                if c.im or abs(c.re) != 1:
-                    body = f"{body}*{power}"
-                else:
-                    body = power
+                body = f"{body}*{power}" if body else power
             if not parts:
                 parts.append(body if sign == "+" else f"-{body}")
             else:
@@ -758,6 +756,12 @@ class LaurentGerm:
             tail = f"O({var}^{self._tail})"
             parts.append(tail if not parts else f" + {tail}")
         return "".join(parts) if parts else "0"
+
+
+def _ratio(a: int, d: int) -> str:
+    """str(Fraction(a, d)) for d >= 1, with one gcd."""
+    g = gcd(a, d)
+    return f"{a // g}" if g == d else f"{a // g}/{d // g}"
 
 
 def _min_tail(a: int | None, b: int | None) -> int | None:

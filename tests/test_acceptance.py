@@ -26,7 +26,7 @@ from cuspgerms import (
     no_global_power_witness,
 )
 
-from oracles import (
+from independent_oracles import (
     bench,
     loglog_flatness_slope,
     numeric_weierstrass_coeffs,

@@ -6,12 +6,24 @@ import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cuspgerms
-from cuspgerms import CuspCurve, NumericalSemigroup, SurgeryCurve, cli
+from cuspgerms import (
+    CERTAINLY_YES,
+    CuspCurve,
+    Decision,
+    NumericalSemigroup,
+    SurgeryCurve,
+    cli,
+    parse_germ,
+)
 from cuspgerms.cli import main
 
 
@@ -511,3 +523,80 @@ def test_byte_identical_output(capsys, argv):
     assert code1 == code2 == 0
     assert first == second
     assert first  # nonempty
+
+
+# -- JSON rendering -------------------------------------------------------------------
+
+
+def dumps(value):
+    """The document `--json` promises: json's indented encoding with str() for
+    every value json cannot encode."""
+    return json.dumps(value, indent=2, default=str)
+
+
+class Pair(NamedTuple):
+    first: object
+    second: object
+
+
+class Count(int):
+    pass
+
+
+GERM = parse_germ("(1/2,-1/3)*t^-1 - t + 3/4*t^2 + O(t^5)")
+
+RENDERED = [
+    {}, [], (), {"a": {}, "b": [], "c": ()}, [[], {}, ()], [[[]]], ((), [()]),
+    "caf\u00e9 \u2603 \U0001f600", "tab\tline\n\x00\x1f\x7f\"\\/",
+    {"k\u00e9y\n\x01": "v\u2028", "": ""},
+    {1: "one", -2: [3], 0: {}},
+    [1, True, 2], [0, False], [True], [None, 1, -1], [2**70, -(2**70)],
+    Pair(1, [2, 3]), [Pair("x", None)], Count(7), [Count(7), 8], {Count(3): Count(4)},
+    Fraction(1, 3), [Fraction(-4, 6), Fraction(5)],
+    Decision("unknown", "tail at 5"), CERTAINLY_YES, Decision("no", witness=4),
+    GERM, [GERM, {"germ": GERM}],
+    {"nested": {"list": [1, 2, {"x": None, "y": [True, False]}]}},
+]
+
+
+@pytest.mark.parametrize("value", RENDERED, ids=[str(i) for i in range(len(RENDERED))])
+def test_json_renderer_matches_json_dumps(value):
+    assert cli._json(value) == dumps(value)
+
+
+json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(), st.fractions(),
+    st.builds(Count, st.integers()),
+    st.sampled_from([CERTAINLY_YES, Decision("no", witness=3), Decision("unknown", "t"),
+                     GERM, parse_germ("-1 + 2/4*t^3")]),
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.lists(st.one_of(st.integers(), st.booleans()), max_size=5),
+        st.dictionaries(st.one_of(st.text(), st.integers()), inner, max_size=5),
+        st.builds(Pair, inner, inner),
+    ),
+    max_leaves=30,
+)
+
+
+@given(json_values)
+@settings(max_examples=300)
+def test_json_renderer_matches_json_dumps_on_random_values(value):
+    assert cli._json(value) == dumps(value)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this interpreter prints ints of any length")
+@pytest.mark.parametrize("value", [
+    10**5000, [10**5000], [True, 10**5000], {"n": [1, {"m": 10**5000}]}, {10**5000: 1},
+    Fraction(10**5000, 3),
+], ids=["int", "int-list", "mixed-list", "nested", "key", "fraction"])
+def test_json_renderer_refuses_ints_past_the_digit_limit(value):
+    with pytest.raises(ValueError):
+        dumps(value)
+    with pytest.raises(ValueError):
+        cli._json(value)

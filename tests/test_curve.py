@@ -17,7 +17,7 @@ from cuspgerms import (
     WeierstrassPoly,
     parse_germ,
 )
-from oracles import (
+from independent_oracles import (
     dominant_axis_by_sampling,
     loglog_flatness_slope,
     min_power_scan,

@@ -15,7 +15,7 @@ from math import gcd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bench
+from independent_oracles import bench
 
 from cuspgerms.cli import main
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import sympy_truncated_power, sympy_truncated_product
+from independent_oracles import sympy_truncated_power, sympy_truncated_product
 
 from cuspgerms import (
     CERTAINLY_YES,
@@ -611,6 +611,53 @@ def test_lowest_exponent_additive_for_exact_products(f, g):
 @settings(max_examples=150)
 def test_to_str_parses_back(f):
     assert parse_germ(f.to_str()) == f
+
+
+def fraction_rendering(f: LaurentGerm, var: str = "t") -> str:
+    """The germ grammar with every coefficient part printed by str(Fraction),
+    built from the public coefficients: the text reports have always held."""
+    parts = []
+    for e, c in f.items():
+        if c.im:
+            body, sign = f"({c.re},{c.im})", "+"
+        else:
+            body, sign = str(abs(c.re)), "-" if c.re < 0 else "+"
+        if e != 0:
+            power = var if e == 1 else f"{var}^{e}"
+            body = f"{body}*{power}" if c.im or abs(c.re) != 1 else power
+        parts.append(f" {sign} {body}" if parts else body if sign == "+" else f"-{body}")
+    if f.tail_bound is not None:
+        tail = f"O({var}^{f.tail_bound})"
+        parts.append(f" + {tail}" if parts else tail)
+    return "".join(parts) or "0"
+
+
+def test_to_str_prints_each_part_in_lowest_terms():
+    f = LaurentGerm({1: GaussianRational(Fraction(1, 2), Fraction(1, 3))})
+    assert (f._num, f._den) == ({1: (3, 2)}, 6)
+    assert f.to_str() == "(1/2,1/3)*t"
+    g = LaurentGerm({0: -1, 1: -1, 2: Fraction(2, 4), 3: GaussianRational(0, -1)}, 9)
+    assert (g._num, g._den) == ({0: (-2, 0), 1: (-2, 0), 2: (1, 0), 3: (0, -2)}, 2)
+    assert g.to_str() == "-1 - t + 1/2*t^2 + (0,-1)*t^3 + O(t^9)"
+    assert LaurentGerm({1: -1}).to_str("z") == "-z"
+    assert LaurentGerm({-2: Fraction(-3, 2)}, 0).to_str() == "-3/2*t^-2 + O(t^0)"
+
+
+wide_coeffs = st.builds(
+    GaussianRational,
+    st.fractions(min_value=-40, max_value=40, max_denominator=60),
+    st.one_of(st.just(0), st.fractions(min_value=-9, max_value=9, max_denominator=30)),
+)
+
+
+@given(st.builds(
+    LaurentGerm,
+    st.dictionaries(st.integers(-5, 12), st.one_of(coeffs, wide_coeffs), max_size=6),
+    st.one_of(st.none(), st.integers(-3, 14)),
+), st.sampled_from(["t", "z"]))
+@settings(max_examples=300)
+def test_to_str_prints_the_fraction_rendering(f, var):
+    assert f.to_str(var) == fraction_rendering(f, var)
 
 
 # -- parser properties ------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspgerms import CuspCurve, NumericalSemigroup, parse_germ, semigroup
-from oracles import brute_contains, brute_representation
+from independent_oracles import brute_contains, brute_representation
 
 coprime_pairs = st.tuples(st.integers(2, 30), st.integers(2, 30)).filter(
     lambda pq: pq[0] != pq[1] and math.gcd(*pq) == 1

@@ -24,7 +24,7 @@ from cuspgerms import (
     parse_germ,
     validate_star,
 )
-from oracles import (
+from independent_oracles import (
     first_refusing_site_scan,
     ideal_contains_by_representation,
     max_site_conductor,
