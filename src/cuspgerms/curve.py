@@ -114,18 +114,6 @@ class CuspCurve:
         """Smallest stored exponent proving non-holomorphy, if any."""
         return self.is_holomorphic_at_cusp(f).witness
 
-    def power_decision(self, f: LaurentGerm, n: int) -> Decision:
-        """`is_holomorphic_at_cusp(f ** n)` for n >= 0, witness and reason
-        included, without building f ** n (proof in
-        `LaurentGerm.exponents_within`).
-
-        This walk is now the fallback.  `min_power` and `stable_power` read a
-        vanishing germ's powers from their supports
-        (`LaurentGerm.power_kinds`), and walk a power as this does only when
-        the germ's coefficients can cancel and the power's support bound
-        holds a gap.  `Site.decision_for_power` walks every power here."""
-        return f.exponents_within(self.semigroup.contains, self.semigroup.conductor(), n)
-
     def min_power(self, f: LaurentGerm) -> int:
         """Smallest n >= 1 with f^n certified holomorphic at the cusp: the
         least power decided CertainlyYes.  A smaller power may be undecided
@@ -136,8 +124,8 @@ class CuspCurve:
         exponent of f^N is at least N*lo >= c and its tail (N-1)*lo + T
         exceeds N*lo, so f^N is yes.
 
-        Each power's kind is that of `power_decision`, the decision of the
-        full f^n, read from the supports of the powers in one pass
+        Each power's kind is that of `is_holomorphic_at_cusp(f ** n)`, read
+        from the supports of the powers in one pass
         (`LaurentGerm.power_kinds`, against the gap mask of <p, q>); no power
         is built.  For a truncated f the scan starts at
         max(1, ceil((c - T)/lo) + 1): below it f^n's tail (n-1)*lo + T is
@@ -172,8 +160,7 @@ class CuspCurve:
         if lo >= 1:
             last = -(-cap // lo)
             first = 1 if f.is_exact() else max(1, -(-(cap - f.tail_bound) // lo) + 1)
-            kinds = f.power_kinds(self.semigroup.contains, cap, self.semigroup.gap_mask(),
-                                  range(first, last))
+            kinds = f.power_kinds(self.semigroup, range(first, last))
             return next((n for n, kind in kinds if kind == "yes"), last)
         # a unit: power 1 settles the whole scan
         verdict = self.is_holomorphic_at_cusp(f)
@@ -205,8 +192,7 @@ class CuspCurve:
             raise ValueError("germ is not weakly holomorphic")
         c = self.semigroup.conductor()
         if lo >= 1:
-            kinds = f.power_kinds(self.semigroup.contains, c, self.semigroup.gap_mask(),
-                                  range(-(-c // lo) - 1, 0, -1))
+            kinds = f.power_kinds(self.semigroup, range(-(-c // lo) - 1, 0, -1))
             for n, kind in kinds:
                 if kind == "no":
                     return n + 1

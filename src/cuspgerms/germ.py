@@ -14,9 +14,12 @@ import re
 from fractions import Fraction
 from itertools import chain, islice
 from math import gcd, lcm
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
 
 from .errors import GermParseError
+
+if TYPE_CHECKING:
+    from .semigroup import NumericalSemigroup
 
 RationalLike = int | Fraction
 
@@ -607,17 +610,18 @@ class LaurentGerm:
         return Decision("unknown", f"terms hidden beyond O(t^{tail}) may violate the test")
 
     def power_kinds(
-        self, predicate: Callable[[int], bool], holds_from: int, gaps: int, powers: range
+        self, semigroup: NumericalSemigroup, powers: range
     ) -> Iterator[tuple[int, str]]:
         """(n, kind) for each n in `powers`, in its order, where kind is that
-        of `exponents_within(predicate, holds_from, n)`.  The germ's lowest
-        exponent lo is >= 1, `gaps` is the bitset of the e < holds_from that
-        fail the predicate, and `powers` is a range of step 1 or -1 over
-        n >= 1.  The kinds come from the supports of the powers, in one pass.
+        of `exponents_within(semigroup.contains, c, n)`, c the conductor.
+        The germ's lowest exponent lo is >= 1, and `powers` is a range of
+        step 1 or -1 over n >= 1.  The kinds come from the supports of the
+        powers, in one pass, against `gaps = semigroup.gap_mask()`, the
+        bitset of the gaps, all of which lie below c.
 
         Write f = t^lo * G, with S the stored offsets of G (0 among them).
-        The stored terms of f^n below holds_from are the t^(n*lo + k) with
-        k < X_n = min(holds_from - n*lo, T - lo) (no T - lo for an exact f)
+        The stored terms of f^n below c are the t^(n*lo + k) with
+        k < X_n = min(c - n*lo, T - lo) (no T - lo for an exact f)
         and a nonzero coefficient of u^k in G^n (`_power_walk`).  Each such k
         lies in the n-fold sumset nS, so A_n = nS ∩ [0, X_n) holds them all:
         if (gaps >> n*lo) & A_n is zero, no stored exponent of f^n fails, and
@@ -645,9 +649,10 @@ class LaurentGerm:
         descending range that reaches below it runs the pass once, keeping a
         hit flag per power.
         """
-        # imported here: a command that runs no pass (`nagata demo`) never runs semigroup.py
+        # imported here: a command that needs only germ.py (`nagata demo`) never runs semigroup.py
         from .semigroup import doubling_shifts
 
+        c, gaps = semigroup.conductor(), semigroup.gap_mask()
         terms = iter(self._num.items())
         lo, (a0, b0) = next(terms)
         rest = [(e - lo, z) for e, z in terms]
@@ -657,21 +662,21 @@ class LaurentGerm:
 
         def kind(n: int, hit: int) -> str:
             if hit:
-                return self.exponents_within(predicate, holds_from, n).kind if cancels else "no"
-            if tail is None or (n - 1) * lo + tail >= holds_from:
+                return self.exponents_within(semigroup.contains, c, n).kind if cancels else "no"
+            if tail is None or (n - 1) * lo + tail >= c:
                 return "yes"
             return "unknown"
 
-        reach = holds_from if tail is None else tail - lo  # X_n = min(holds_from - n*lo, reach)
-        live = [k for k, _ in rest if k < min(holds_from - lo, reach)]
+        reach = c if tail is None else tail - lo  # X_n = min(c - n*lo, reach)
+        live = [k for k, _ in rest if k < min(c - lo, reach)]
         settled = 1  # the first power that the monoid answers
         monoid = 1
         if live:
             s = live[0]
-            settled = max(1, -(-(holds_from - s) // (lo + s)))
+            settled = max(1, -(-(c - s) // (lo + s)))
             if tail is not None:
                 settled = max(1, min(settled, -(-(reach - s) // s)))
-            width = min(holds_from - settled * lo, reach)
+            width = min(c - settled * lo, reach)
             for k in live:
                 if k < width and not monoid >> k & 1:
                     for shift in doubling_shifts(k, -(-width // k)):
@@ -691,7 +696,7 @@ class LaurentGerm:
             support, grows = 1, True
             for n in range(1, settled):
                 if grows:
-                    mask = (1 << min(holds_from - n * lo, reach)) - 1  # X_n > 0 below settled
+                    mask = (1 << min(c - n * lo, reach)) - 1  # X_n > 0 below settled
                     grown = 0
                     for first, shifts in shifted:
                         part = support

@@ -53,8 +53,10 @@ class Site:
         return e >= self.ideal_exponent()
 
     def decision_for_power(self, germ: LaurentGerm, n: int) -> Decision:
-        """The decision of germ ** n at this cusp, without building the power."""
-        return self.curve.power_decision(germ, n)
+        """The decision of germ ** n at this cusp, witness and reason included,
+        from a walk of its terms (`LaurentGerm.exponents_within`), not the power."""
+        semigroup = self.curve.semigroup
+        return germ.exponents_within(semigroup.contains, semigroup.conductor(), n)
 
     def __repr__(self) -> str:
         return f"Site(index={self.index}, center={self.center}, radius={self.radius})"
@@ -145,7 +147,7 @@ def make_global_rado(
         k = site.index
         tail = tails.get(k)
         if tail is None:
-            per[k] = t + LaurentGerm.tail_only(site.ideal_exponent())
+            per[k] = LaurentGerm({1: 1}, site.ideal_exponent())
             continue
         verdict = tail.exponents_within(site.ideal_contains, site.ideal_exponent())
         if verdict.is_no:
