@@ -125,9 +125,12 @@ class CuspCurve:
         exceeds N*lo, so f^N is yes.
 
         Each power's kind is that of `is_holomorphic_at_cusp(f ** n)`, read
-        from the supports of the powers in one pass
-        (`LaurentGerm.power_kinds`, against the gap mask of <p, q>); no power
-        is built.  For a truncated f the scan starts at
+        by `LaurentGerm.power_kinds` from the supports of the powers against
+        the gap mask of <p, q>; no power is built.  It takes the powers in
+        any order, runs its support pass at most once and only forward, and
+        answers every power from the one where the monoid of f's offsets
+        settles from a single bitset (`monoid_bits`, which builds the gap
+        mask too).  For a truncated f the scan starts at
         max(1, ceil((c - T)/lo) + 1): below it f^n's tail (n-1)*lo + T is
         below c, so f^n is at best unknown.  An exact f starts at 1.
 
@@ -177,11 +180,13 @@ class CuspCurve:
         an unknown power comes after it.  Every exponent of f^n is at least
         n*lo, and its tail (n-1)*lo + T exceeds n*lo, so every power with
         n*lo >= c is yes.  The scan therefore runs backward from
-        ceil(c/lo) - 1, with each power's kind read as in min_power.  Every power
-        above the first one that is not yes is yes.  If that power is no, it
-        is the last no and nothing undecided follows it, so the answer is
-        n + 1.  If it is unknown, an undecided power lies above every no.
-        If every power is yes, the answer is 1.
+        ceil(c/lo) - 1, with each power's kind read as in min_power: the
+        powers down to the one where the monoid settles read its bitset, and
+        the first power below that runs the forward pass, once, up to
+        itself.  Every power above the first one that is not yes is yes.  If
+        that power is no, it is the last no and nothing undecided follows
+        it, so the answer is n + 1.  If it is unknown, an undecided power
+        lies above every no.  If every power is yes, the answer is 1.
         """
         if f.is_zero():
             raise ValueError("zero germ has no stable power")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
 
@@ -610,14 +610,15 @@ class LaurentGerm:
         return Decision("unknown", f"terms hidden beyond O(t^{tail}) may violate the test")
 
     def power_kinds(
-        self, semigroup: NumericalSemigroup, powers: range
+        self, semigroup: NumericalSemigroup, powers: Iterable[int]
     ) -> Iterator[tuple[int, str]]:
         """(n, kind) for each n in `powers`, in its order, where kind is that
         of `exponents_within(semigroup.contains, c, n)`, c the conductor.
-        The germ's lowest exponent lo is >= 1, and `powers` is a range of
-        step 1 or -1 over n >= 1.  The kinds come from the supports of the
-        powers, in one pass, against `gaps = semigroup.gap_mask()`, the
-        bitset of the gaps, all of which lie below c.
+        The germ's lowest exponent lo is >= 1, and `powers` is any iterable
+        of powers n >= 1, in any order and with repeats.  The kinds come from
+        the supports of the powers, in at most one pass, run forward only,
+        against `gaps = semigroup.gap_mask()`, the bitset of the gaps, all of
+        which lie below c.
 
         Write f = t^lo * G, with S the stored offsets of G (0 among them).
         The stored terms of f^n below c are the t^(n*lo + k) with
@@ -643,14 +644,15 @@ class LaurentGerm:
         bits beyond X_m lie where `gaps >> m*lo` is zero).  With s the least
         nonzero offset, an element of the monoid <S> below X_n is a sum of at
         most (X_n - 1)/s nonzero offsets, so A_n = <S> ∩ [0, X_n) as soon as
-        X_n <= (n+1)*s.  From that power on, one bitset, the monoid spread
-        by each offset it lacks, answers every power without a pass; so a
-        scan that starts there, or reads down from the top, runs none.  A
-        descending range that reaches below it runs the pass once, keeping a
-        hit flag per power.
+        X_n <= (n+1)*s.  From that power on, one bitset, `monoid_bits` of
+        the offsets below X_n, answers every power without a pass.  A power
+        below it reads a hit flag; the flags come from the one pass, kept
+        per power, which runs only as far as the largest such power asked
+        for.  So a scan that starts at that power, or reads down from the
+        top, runs the pass only once it reaches below it.
         """
         # imported here: a command that needs only germ.py (`nagata demo`) never runs semigroup.py
-        from .semigroup import doubling_shifts
+        from .semigroup import doubling_shifts, monoid_bits
 
         c, gaps = semigroup.conductor(), semigroup.gap_mask()
         terms = iter(self._num.items())
@@ -670,21 +672,15 @@ class LaurentGerm:
         reach = c if tail is None else tail - lo  # X_n = min(c - n*lo, reach)
         live = [k for k, _ in rest if k < min(c - lo, reach)]
         settled = 1  # the first power that the monoid answers
-        monoid = 1
         if live:
             s = live[0]
             settled = max(1, -(-(c - s) // (lo + s)))
             if tail is not None:
                 settled = max(1, min(settled, -(-(reach - s) // s)))
-            width = min(c - settled * lo, reach)
-            for k in live:
-                if k < width and not monoid >> k & 1:
-                    for shift in doubling_shifts(k, -(-width // k)):
-                        monoid |= monoid << shift
-                    monoid &= (1 << width) - 1
+        monoid = monoid_bits(live, min(c - settled * lo, reach))
 
-        def hits() -> Iterator[int]:
-            """(gaps >> n*lo) & A_n for n = 1, ..., settled - 1."""
+        def hits() -> Iterator[bool]:
+            """Whether (gaps >> n*lo) & A_n is nonzero, for n = 1, ..., settled - 1."""
             step = gcd(*live)
             runs: list[list[int]] = []  # [first offset, length] of each run
             for k in [0, *live]:
@@ -706,20 +702,17 @@ class LaurentGerm:
                     grown &= mask
                     grows = grown != support & mask
                     support = grown
-                yield gaps >> (n * lo) & support
+                yield gaps >> (n * lo) & support != 0
 
-        if powers.step == 1:
-            early = islice(hits(), powers.start - 1, None)
-            for n in powers:
-                yield n, kind(n, next(early) if n < settled else gaps >> (n * lo) & monoid)
-            return
-        for n in range(powers.start, max(powers.stop, settled - 1), -1):
-            yield n, kind(n, gaps >> (n * lo) & monoid)
-        below = range(min(powers.start, settled - 1), powers.stop, -1)
-        if below:
-            flags = [bool(hit) for hit in islice(hits(), below.stop, below.start)]
-            for n in below:
-                yield n, kind(n, flags[n - below.stop - 1])
+        early, flags = hits(), []  # flags[n - 1]: whether power n hits
+        for n in powers:
+            if n >= settled:
+                hit = gaps >> (n * lo) & monoid
+            else:
+                while len(flags) < n:
+                    flags.append(next(early))
+                hit = flags[n - 1]
+            yield n, kind(n, hit)
 
     # -- equality / rendering ----------------------------------------------
 

@@ -9,6 +9,7 @@ holomorphic function, so everything downstream funnels into `contains`.
 from __future__ import annotations
 
 from math import gcd
+from typing import Iterable
 
 
 class NumericalSemigroup:
@@ -45,20 +46,15 @@ class NumericalSemigroup:
     def gap_mask(self) -> int:
         """The gaps as a bitset: bit e is set iff e is not a member.
 
-        Every gap lies below the conductor c.  With m = min(p, q) and
-        M = max(p, q), a member e has a representation a*m + b*M with b < m,
-        and then every e + k*m is a member too.  So the members below c are
-        the multiples of m, a closed-form bitset, shifted by each b*M < c,
-        in about log2(c/M) doubling shifts.  The mask is built on the first
-        call and kept, so every later scan on this semigroup reads it.
+        Every gap lies below the conductor c, so the gaps are the bits below
+        c that `monoid_bits((p, q), c)` leaves clear: the members below c,
+        {0} closed under adding p and then q, in about log2(c/g) doubling
+        shifts for each generator g.  The mask is built on the first call
+        and kept, so every later scan on this semigroup reads it.
         """
         if self._gaps is None:
-            m, big = sorted((self.p, self.q))
             c = self.conductor()
-            members = ((1 << (m * -(-c // m))) - 1) // ((1 << m) - 1)  # bits 0, m, 2m, ...
-            for shift in doubling_shifts(big, -(-c // big)):
-                members |= members << shift
-            self._gaps = ((1 << c) - 1) & ~members
+            self._gaps = ((1 << c) - 1) & ~monoid_bits((self.p, self.q), c)
         return self._gaps
 
     def frobenius(self) -> int:
@@ -104,3 +100,20 @@ def doubling_shifts(step: int, count: int) -> list[int]:
         shifts.append(more * step)
         made += more
     return shifts
+
+
+def monoid_bits(generators: Iterable[int], width: int) -> int:
+    """The monoid spanned by `generators` (each >= 1) below `width` >= 1, as
+    a bitset: bit e is set iff e < width is a sum of generators, 0 the empty
+    sum.  The bitset starts as {0}; each generator g below the width that
+    is not yet a member closes it under adding g, by
+    `doubling_shifts(g, ceil(width/g))`, and it is cut to the width again.
+    A member generator adds nothing, since the bitset is already closed
+    under adding it."""
+    bits = 1
+    for g in generators:
+        if g < width and not bits >> g & 1:
+            for shift in doubling_shifts(g, -(-width // g)):
+                bits |= bits << shift
+            bits &= (1 << width) - 1
+    return bits

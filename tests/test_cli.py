@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -523,6 +524,26 @@ def test_byte_identical_output(capsys, argv):
     assert code1 == code2 == 0
     assert first == second
     assert first  # nonempty
+
+
+def _readme_sessions() -> list[tuple[list[str], str]]:
+    """(argv, stdout) of every README block that opens with `$ cuspgerms`
+    and elides no line with `...`."""
+    blocks = (Path(__file__).resolve().parents[1] / "README.md").read_text().split("```")
+    sessions = []
+    for block in blocks[1::2]:
+        command, _, out = block.lstrip("\n").partition("\n")
+        if command.startswith("$ cuspgerms ") and "..." not in out.splitlines():
+            sessions.append((shlex.split(command)[2:], out))
+    return sessions
+
+
+def test_readme_sessions_print_what_the_readme_shows(capsys):
+    sessions = _readme_sessions()
+    assert [argv[:3] for argv, _ in sessions] == [
+        ["semigroup", "info", "--p"], ["--json", "rado", "witness"]]
+    for argv, out in sessions:
+        assert run(capsys, *argv) == (0, out, ""), argv
 
 
 # -- JSON rendering -------------------------------------------------------------------

@@ -438,14 +438,16 @@ def coherent_germ(draw):
        st.data())
 @settings(max_examples=200, deadline=None)
 def test_power_kinds_match_power_decision(germ_on_curve, data):
-    # every power that a scan can read, up and down, from any start
+    # every power that a scan can read, up and down, from any start, and
+    # powers in any order: shuffled, or crossing back and forth with repeats
     curve, f = germ_on_curve
     c = curve.semigroup.conductor()
     top = -(-c // f.lowest_exponent()) - 1
     expected = {n: lazy_decision(curve, f, n).kind for n in range(1, top + 1)}
     start = data.draw(st.integers(1, top + 1))
+    shuffled = data.draw(st.permutations(range(1, top + 1)))
     for powers in (range(1, top + 1), range(top, 0, -1), range(start, top + 1),
-                   range(start - 1, 0, -1)):
+                   range(start - 1, 0, -1), shuffled, [top, 1, top, 1] if top else []):
         assert list(f.power_kinds(curve.semigroup, powers)) == [(n, expected[n]) for n in powers]
 
 

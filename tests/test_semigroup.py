@@ -142,8 +142,19 @@ def test_gap_mask_is_the_contains_table_below_the_conductor():
             assert s.gap_mask() == table, (p, q)
 
 
+@given(st.lists(st.integers(1, 25), min_size=1, max_size=4), st.integers(1, 300))
+@settings(max_examples=300)
+def test_monoid_bits_are_the_sums_of_the_generators_below_the_width(generators, width):
+    # repeats, multiples of one another and generators at or above the width
+    # all arise; a DP over [0, width) marks every sum of generators
+    sums = [True] + [False] * (width - 1)
+    for e in range(1, width):
+        sums[e] = any(g <= e and sums[e - g] for g in generators)
+    assert semigroup.monoid_bits(generators, width) == sum(1 << e for e in range(width) if sums[e])
+
+
 def test_gap_mask_is_built_once_per_semigroup(monkeypatch):
-    # the mask is the one bitset built with shifts by the larger generator
+    # the mask is built once, with shifts by each generator below the conductor
     built = []
     doubling_shifts = semigroup.doubling_shifts
 
