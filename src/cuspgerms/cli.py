@@ -93,15 +93,13 @@ def _emit_block(lines: list[str], value: Any, indent: int) -> None:
                 lines.append(f"{pad}{str(k):<{width}} : {joined}")
             else:
                 lines.append(f"{pad}{str(k):<{width}} : {_scalar(v)}")
-    elif isinstance(value, (list, tuple)):
+    else:  # a list or tuple: the reports' blocks are dicts, and only containers recurse
         for item in value:
             if isinstance(item, (dict, list, tuple)):
                 lines.append(f"{pad}-")
                 _emit_block(lines, item, indent + 2)
             else:
                 lines.append(f"{pad}- {_scalar(item)}")
-    else:
-        lines.append(f"{pad}{_scalar(value)}")
 
 
 def _is_container_list(value: Any) -> bool:

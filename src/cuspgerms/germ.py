@@ -140,19 +140,6 @@ Gaussian = tuple[int, int]  # a Gaussian integer re + im*i
 _ZERO: Gaussian = (0, 0)
 
 
-def _coeff(value: CoeffLike) -> GaussianRational:
-    if isinstance(value, GaussianRational):
-        return value
-    return GaussianRational(value)
-
-
-def _split(c: GaussianRational) -> tuple[Gaussian, int]:
-    """(z, m) with c = z / m, z a Gaussian integer and m >= 1 least."""
-    re, im = c.re, c.im
-    m = lcm(re.denominator, im.denominator)
-    return (re.numerator * (m // re.denominator), im.numerator * (m // im.denominator)), m
-
-
 def _gmul(z: Gaussian, w: Gaussian) -> Gaussian:
     a, b = z
     c, d = w
@@ -215,19 +202,24 @@ class LaurentGerm:
         tail_bound: int | None = None,
     ):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        sums: dict[int, GaussianRational] = {}
+        sums: dict[int, tuple[Fraction, Fraction]] = {}  # e: (re, im)
         for e, c in items:
             if tail_bound is not None and e >= tail_bound:
                 continue
-            c = _coeff(c)
+            if isinstance(c, GaussianRational):
+                re, im = c.re, c.im
+            else:
+                re, im = Fraction(c), _FRACTION_ZERO
             s = sums.get(e)
-            sums[e] = c if s is None else GaussianRational(s.re + c.re, s.im + c.im)
+            sums[e] = (re, im) if s is None else (s[0] + re, s[1] + im)
         # D, the lcm of the reduced parts' denominators, is primitive: if p^a
         # exactly divides D, it exactly divides the denominator v of some part
         # u/v, and then the numerator u * D/v is prime to p
-        split = {e: _split(c) for e, c in sorted(sums.items()) if not c.is_zero()}
-        den = lcm(*(m for _, m in split.values()))
-        self._num = {e: (re * (den // m), im * (den // m)) for e, ((re, im), m) in split.items()}
+        parts = {e: s for e, s in sorted(sums.items()) if s[0] or s[1]}
+        den = lcm(*(x.denominator for s in parts.values() for x in s))
+        self._num = {e: (re.numerator * (den // re.denominator),
+                         im.numerator * (den // im.denominator))
+                     for e, (re, im) in parts.items()}
         self._den = den
         self._tail = tail_bound
 
@@ -431,15 +423,15 @@ class LaurentGerm:
         No gcd is taken inside the walk, and h_k != 0 exactly when
         R_k != 0, so a walk that only asks which terms are nonzero (as
         `exponents_within` does) needs no conversion at all.  At the
-        end h_k = N_0^(n-k) * R_k / D^n; with K the largest k and
-        E = max(K - n, 0), every numerator N_0^(n+E-k) * R_k is a Gaussian
-        integer over the denominator N_0^E * D^n, made positive and real by
-        N_0 * w = m (w the sign of a real N_0, else its conjugate).  One gcd
-        then makes the result primitive, except where the cross-cancellation
-        rule of `__mul__` shows it already is: for a real germ with E = 0
-        whose walk reached the degree n*(hi - lo) uncut by the tail, the
-        result is N^n / D^n, and by Gauss's lemma content(N^n) = content(N)^n
-        is prime to D^n.
+        end h_k = N_0^(n-k) * R_k / D^n, the term of f^n at t^(n*lo + k);
+        with K the largest k and E = max(K - n, 0), each term's numerator
+        w^E * N_0^(n+E-k) * R_k is a Gaussian integer over the denominator
+        m^E * D^n, where N_0 * w = m > 0 (w the sign of a real N_0, else its
+        conjugate).  One gcd then makes the result primitive, except where
+        the cross-cancellation rule of `__mul__` shows it already is: for a
+        real germ with E = 0 whose walk reached the degree n*(hi - lo) uncut
+        by the tail, the result is N^n / D^n, and by Gauss's lemma
+        content(N^n) = content(N)^n is prime to D^n.
 
         Tail: h_k involves g_j for j <= k only.  For f = F + O(t^T) the stored
         part F fixes g_j for j < T - lo, hence h_k for k < T - lo, which are
@@ -453,11 +445,6 @@ class LaurentGerm:
         stored exponent, the recurrence computes the coefficients of G^n for
         the stored polynomial G = F / t^lo of degree hi - lo, so h_k = 0 for
         k > n*(hi - lo), exact f or truncated.
-
-        When every j with g_j != 0 is a multiple of d, g is a series in
-        u = t^d, and substituting k = d*k', j = d*j' turns the recurrence
-        into the same one in u, with j' = j/d in place of j; so only every
-        d-th h_k is computed.  A monomial, truncated or not, has only h_0.
 
         n = 0 gives the exact unit, even for a zero or truncated germ; the
         exact zero stays zero, and O(t^T)**n is O(t^(n*T)).
@@ -474,19 +461,10 @@ class LaurentGerm:
         if not walk:
             return LaurentGerm._wrap({}, 1, tail)
         n0 = next(iter(self._num.values()))
-        top = walk[-1][1]
-        extra = max(top - n, 0)
+        extra = max(walk[-1][1] - n, 0)
         w, m = _real_multiplier(n0)
-        # numerator factor N_0^(n+E-k) * w^E, from k = top down
-        scale = _gmul(_gpow(w, extra), _gpow(n0, n + extra - top))
-        num: dict[int, Gaussian] = {}
-        at = top
-        for e, k, r in reversed(walk):
-            if k != at:
-                scale = _gmul(scale, _gpow(n0, at - k))
-                at = k
-            num[e] = _gmul(scale, r)
-        num = dict(reversed(num.items()))
+        we = _gpow(w, extra)
+        num = {e: _gmul(we, _gmul(_gpow(n0, n + extra - k), r)) for e, k, r in walk}
         if extra or walk[-1][0] < n * next(reversed(self._num)) or any(
                 b for _, b in self._num.values()):
             return LaurentGerm._reduced(num, m ** extra * self._den ** n, tail)
@@ -508,8 +486,8 @@ class LaurentGerm:
     ) -> Iterator[tuple[int, int, Gaussian]]:
         """(e, k, R_k) for the nonzero terms t^e of f**n, n >= 1, in
         increasing exponent order; only those with e < `below` when it is
-        given.  R_k is the fraction-free numerator of `__pow__`, and k counts
-        steps of the gcd d of the offsets, so e = n*lo + d*k.
+        given.  R_k is the fraction-free numerator of `__pow__`, and
+        k = e - n*lo is the term's offset from the lowest exponent n*lo.
 
         Each term is computed only when it is asked for, so a caller may stop
         at the first term it needs.  The walk ends at `below`, at the tail and
@@ -520,24 +498,20 @@ class LaurentGerm:
             return
         terms = iter(self._num.items())
         lo, n0 = next(terms)
-        offsets = [(e - lo, z) for e, z in terms]
         base = n * lo
-        # h_k for k < width, of which only multiples of step can be nonzero
-        width = n * (offsets[-1][0] if offsets else 0) + 1
+        # h_k for k < width
+        width = n * (next(reversed(self._num)) - lo) + 1
         if self._tail is not None:
             width = min(width, self._tail - lo)
         if below is not None:
             width = min(width, below - base)
         if width <= 0:
             return
-        step = gcd(*(j for j, _ in offsets)) or width
-        count = -(-width // step)
-        # (j, N_j * N_0^(j-1)) in steps, for the j the walk can reach
-        rest = [(j, _gmul(z, _gpow(n0, j - 1)))
-                for j, z in ((j // step, z) for j, z in offsets) if j < count]
+        yield base, 0, (1, 0)
+        # (j, N_j * N_0^(j-1)) for the offsets j the walk can reach
+        rest = [(e - lo, _gmul(z, _gpow(n0, e - lo - 1))) for e, z in terms if e - lo < width]
         R: list[Gaussian] = [(1, 0)]
-        yield base, 0, R[0]
-        for k in range(1, count):
+        for k in range(1, width):
             re = im = 0
             for j, (a, b) in rest:
                 if j > k:
@@ -550,19 +524,16 @@ class LaurentGerm:
             if re or im:
                 rk = (re // k, im // k)
                 R.append(rk)
-                yield base + step * k, k, rk
+                yield base + k, k, rk
             else:
                 R.append(_ZERO)
 
     def scaled(self, factor: CoeffLike) -> "LaurentGerm":
-        c = _coeff(factor)
-        if c.is_zero():
+        """The product with the constant germ `factor`; a zero factor keeps the tail."""
+        constant = LaurentGerm({0: factor})
+        if not constant._num:
             return LaurentGerm._wrap({}, 1, self._tail)
-        z, m = _split(c)
-        # a product of nonzero Gaussian integers is nonzero
-        return LaurentGerm._reduced(
-            {e: _gmul(v, z) for e, v in self._num.items()}, self._den * m, self._tail
-        )
+        return self * constant
 
     def shifted(self, offset: int) -> "LaurentGerm":
         """Multiply by t^offset."""

@@ -206,6 +206,9 @@ def test_scaled_and_shifted():
     assert f.scaled(Fraction(1, 2)) == germ("1/2*t + t^3 + O(t^5)")
     assert f.scaled(0) == LaurentGerm.tail_only(5)
     assert f.shifted(2) == germ("t^3 + 2*t^5 + O(t^7)")
+    # a Gaussian factor on a truncated germ
+    assert (germ("t + (1,2)*t^3 + O(t^5)").scaled(GaussianRational(0, 1))
+            == germ("(0,1)*t + (-2,1)*t^3 + O(t^5)"))
 
 
 # -- decisions -----------------------------------------------------------------
@@ -452,6 +455,15 @@ def test_power_terms_are_computed_on_demand():
     assert list(g._power_walk(2, below=4)) == [(2, 0, (1, 0))]
 
 
+def test_power_walk_counts_terms_by_exponent_offset():
+    # k = e - n*lo, also when every offset shares a factor
+    assert list(germ("t^2 + t^4")._power_walk(2)) == [
+        (4, 0, (1, 0)), (6, 2, (2, 0)), (8, 4, (1, 0))]
+    # a truncated Gaussian germ whose offsets share the factor 3
+    f = germ("(1,1)*t + 2*t^4 + O(t^11)")
+    assert f ** 2 == f * f
+
+
 nonzero_pairs = st.tuples(
     st.fractions(min_value=-4, max_value=4, max_denominator=6),
     st.fractions(min_value=-2, max_value=2, max_denominator=4),
@@ -529,6 +541,15 @@ def test_primitive_form_examples():
     assert (germ("(1/2,1/2)*t") * germ("(1,-1)"))._num == {1: (1, 0)}
 
 
+def test_constructor_puts_terms_that_sum_to_zero_outside_the_denominator():
+    f = LaurentGerm([(1, Fraction(1, 3)), (1, Fraction(-1, 3)), (2, 1)])
+    assert f == LaurentGerm({2: 1}) and f._den == 1
+    # a Gaussian part that cancels leaves the other part over 1
+    g = LaurentGerm([(1, GaussianRational(Fraction(1, 6), 1)),
+                     (1, GaussianRational(Fraction(-1, 6), 0))])
+    assert (g._num, g._den) == ({1: (0, 1)}, 1)
+
+
 def by_fractions(f: LaurentGerm, g: LaurentGerm) -> LaurentGerm:
     """f * g with the coefficients multiplied as `Fraction`s, then built by
     the constructor (which drops the terms at or beyond the tail)."""
@@ -567,12 +588,14 @@ cross_cancelled_germs = st.one_of(
 )
 
 
-@given(cross_cancelled_germs, cross_cancelled_germs, st.integers(0, 6))
+@given(cross_cancelled_germs, cross_cancelled_germs, st.integers(0, 6), coeffs)
 @settings(max_examples=300, deadline=None)
-def test_products_and_powers_are_primitive_and_equal_their_fraction_form(f, g, n):
+def test_products_and_powers_are_primitive_and_equal_their_fraction_form(f, g, n, c):
     product = f * g
     assert_primitive(product)
     assert product == by_fractions(f, g)
+    if not c.is_zero():
+        assert f.scaled(c) == by_fractions(f, LaurentGerm({0: c}))
     power = f ** n
     assert_primitive(power)
     by_mul = LaurentGerm.one()
