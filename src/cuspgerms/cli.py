@@ -8,16 +8,19 @@ invocations produce identical bytes.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import sys
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Callable
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Any, Callable
 
 # library modules are read through their module objects when a handler runs,
 # so a command runs only the modules it uses (the package registers them lazily)
 from . import curve, germ, nagata, semigroup, surgery
 from .errors import CuspGermsError, UndecidableAtTruncation
+
+if TYPE_CHECKING:
+    import argparse
 
 _AXIS_NAME = {1: "z1", 2: "z2"}
 
@@ -127,22 +130,30 @@ def _attempt(fn: Callable[[], Any], findings: list[str], label: str) -> Any:
 # -- subcommand handlers -------------------------------------------------------
 
 
-def _cmd_semigroup_info(args: argparse.Namespace) -> dict[str, Any]:
+def _cmd_semigroup_info(args: SimpleNamespace) -> dict[str, Any]:
     s = semigroup.NumericalSemigroup(args.p, args.q)
-    bound = args.bound if args.bound is not None else s.conductor() + 1
+    c = s.conductor()
+    bound = args.bound if args.bound is not None else c + 1
     if bound < 0:
         raise ValueError(f"membership bound must be >= 0, got {bound}")
     if bound > _MAX_TABLE_BOUND:
         raise ValueError(f"membership bound must be <= {_MAX_TABLE_BOUND}, got {bound}")
+    # every gap lies below the conductor c: the rows below min(bound + 1, c)
+    # are split by one pass over the bits of the members there, and every row
+    # from c on is a member.  The bitset stops at the table, since c can be
+    # far past it.
+    below = min(bound + 1, c)
+    member_bits = semigroup.monoid_bits((s.p, s.q), below)
     members: list[int] = []
     gaps: list[int] = []
-    for n in range(bound + 1):
-        (members if s.contains(n) else gaps).append(n)
+    for n, bit in enumerate(format(member_bits, f"0{below}b")[::-1]):
+        (members if bit == "1" else gaps).append(n)
+    members.extend(range(c, bound + 1))
     return {
         "command": "semigroup info",
         "inputs": {"p": args.p, "q": args.q, "bound": bound},
         "results": {
-            "conductor": s.conductor(),
+            "conductor": c,
             "frobenius": s.frobenius(),
             "membersUpToBound": members,
             "gapsUpToBound": gaps,
@@ -151,7 +162,7 @@ def _cmd_semigroup_info(args: argparse.Namespace) -> dict[str, Any]:
     }
 
 
-def _cmd_curve_analyze(args: argparse.Namespace) -> dict[str, Any]:
+def _cmd_curve_analyze(args: SimpleNamespace) -> dict[str, Any]:
     cusp = curve.CuspCurve(args.p, args.q)
     conductor = cusp.semigroup.conductor()
     if conductor > _MAX_CONDUCTOR:
@@ -203,7 +214,7 @@ def _cmd_curve_analyze(args: argparse.Namespace) -> dict[str, Any]:
     }
 
 
-def _cmd_curve_multiplier(args: argparse.Namespace) -> dict[str, Any]:
+def _cmd_curve_multiplier(args: SimpleNamespace) -> dict[str, Any]:
     cusp = curve.CuspCurve(args.p, args.q)
     floor_ok = cusp.floor_multiplier_check(args.a, args.b)
     exact_ok = cusp.exact_multiplier_check(args.a, args.b)
@@ -239,7 +250,7 @@ def _build_sites(max_k: int) -> surgery.SurgeryCurve:
     return surgery.SurgeryCurve.build_standard(max_k)
 
 
-def _cmd_rado_witness(args: argparse.Namespace) -> dict[str, Any]:
+def _cmd_rado_witness(args: SimpleNamespace) -> dict[str, Any]:
     glued = _build_sites(args.max_k)
     section = surgery.make_global_rado(glued)
     site_index = surgery.no_global_power_witness(glued, args.n, section)
@@ -265,7 +276,7 @@ def _cmd_rado_witness(args: argparse.Namespace) -> dict[str, Any]:
     }
 
 
-def _cmd_theorem1_bound(args: argparse.Namespace) -> dict[str, Any]:
+def _cmd_theorem1_bound(args: SimpleNamespace) -> dict[str, Any]:
     glued = _build_sites(args.max_k)
     bound = surgery.n_omega(glued, args.region)
     power = args.n if args.n is not None else bound
@@ -293,7 +304,7 @@ def _cmd_theorem1_bound(args: argparse.Namespace) -> dict[str, Any]:
     }
 
 
-def _cmd_nagata_demo(args: argparse.Namespace) -> dict[str, Any]:
+def _cmd_nagata_demo(args: SimpleNamespace) -> dict[str, Any]:
     if args.max_pow < 1:
         raise ValueError(f"maxPow must be >= 1, got {args.max_pow}")
     if args.max_pow > _MAX_NAGATA_POW:
@@ -336,70 +347,123 @@ def _cmd_nagata_demo(args: argparse.Namespace) -> dict[str, Any]:
 
 # -- argument parsing ----------------------------------------------------------
 
+# The command line, declared once: group -> help, and (group, command) ->
+# (handler, help, flags), where flags maps each option string to
+# (dest, type or choices, required, help) and an absent optional flag is None.
+# `main` reads well-formed argv from the table itself (`_read_argv`);
+# `build_parser` builds argparse from it for everything else.
+_GROUPS = {
+    "semigroup": "numerical semigroup computations",
+    "curve": "cusp curve invariants",
+    "rado": "global sections of the glued curve",
+    "theorem1": "uniform power bounds per region",
+    "nagata": "dual-number sections over the punctured line",
+}
+
+_COMMANDS = {
+    ("semigroup", "info"): (_cmd_semigroup_info, "conductor, Frobenius number, membership table", {
+        "--p": ("p", int, True, None),
+        "--q": ("q", int, True, None),
+        "--bound": ("bound", int, False, "membership table bound (default: conductor + 1)"),
+    }),
+    ("curve", "analyze"): (_cmd_curve_analyze, "holomorphy, powers, flatness, cone", {
+        "--p": ("p", int, True, None),
+        "--q": ("q", int, True, None),
+        "--germ": ("germ", str, False,
+                   "germ spec, e.g. 't^2 + 1/2*t^3 + O(t^9)' (default: t)"),
+    }),
+    ("curve", "multiplier"): (_cmd_curve_multiplier, "floor vs exact holomorphy condition", {
+        "--p": ("p", int, True, None),
+        "--q": ("q", int, True, None),
+        "--a": ("a", int, True, None),
+        "--b": ("b", int, True, None),
+    }),
+    ("rado", "witness"): (_cmd_rado_witness, "site refusing a given power", {
+        "--max-k": ("max_k", int, True, None),
+        "--n": ("n", int, True, None),
+    }),
+    ("theorem1", "bound"): (_cmd_theorem1_bound, "region power bound and decision table", {
+        "--max-k": ("max_k", int, True, None),
+        "--region": ("region", int, True, None),
+        "--n": ("n", int, False, None),
+    }),
+    ("nagata", "demo"): (_cmd_nagata_demo, "extension table for powers of z + eps*g", {
+        "--g": ("g", ("inv", "expinv"), True, None),
+        "--max-pow": ("max_pow", int, True, None),
+    }),
+}
+
+
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace `build_parser().parse_args(argv)` gives, read from the
+    table, for argv of one form: an optional leading --json, a known group
+    and command, then `--flag value` pairs with each flag exact and at most
+    once, no value starting with "-", every int value read by int(), every
+    choice among its choices and every required flag there.  None for any
+    other argv, which argparse reads (help, usage errors, abbreviations,
+    `--flag=value`, negative numbers, `--`, repeats)."""
+    json_flag = argv[:1] == ["--json"]
+    words = argv[json_flag:]
+    entry = _COMMANDS.get(tuple(words[:2]))
+    if entry is None or len(words) % 2:
+        return None
+    handler, _, flags = entry
+    values: dict[str, Any] = {}
+    for option, value in zip(words[2::2], words[3::2]):
+        flag = flags.get(option)
+        if flag is None or value[:1] == "-":
+            return None
+        dest, kind = flag[0], flag[1]
+        if dest in values:
+            return None
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif kind is not str and value not in kind:
+            return None
+        values[dest] = value
+    for dest, _, required, _ in flags.values():
+        if dest not in values:
+            if required:
+                return None
+            values[dest] = None
+    return SimpleNamespace(json=json_flag, group=words[0], cmd=words[1], handler=handler,
+                           **values)
+
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: it holds no state
-    between calls, since each parse returns a fresh namespace."""
+    """The command-line parser, built from the table once per process: it
+    holds no state between calls, since each parse returns a fresh namespace.
+    Only argv that `_read_argv` refuses needs it, so argparse is imported here."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="cuspgerms",
         description="Exact holomorphy arithmetic on monomial cusp curves.",
     )
     parser.add_argument("--json", action="store_true", help="emit a structured JSON report")
     groups = parser.add_subparsers(dest="group", required=True)
-
-    sg = groups.add_parser("semigroup", help="numerical semigroup computations")
-    sg_cmds = sg.add_subparsers(dest="cmd", required=True)
-    sg_info = sg_cmds.add_parser("info", help="conductor, Frobenius number, membership table")
-    sg_info.add_argument("--p", type=int, required=True)
-    sg_info.add_argument("--q", type=int, required=True)
-    sg_info.add_argument("--bound", type=int, default=None,
-                         help="membership table bound (default: conductor + 1)")
-    sg_info.set_defaults(handler=_cmd_semigroup_info)
-
-    cv = groups.add_parser("curve", help="cusp curve invariants")
-    cv_cmds = cv.add_subparsers(dest="cmd", required=True)
-    cv_an = cv_cmds.add_parser("analyze", help="holomorphy, powers, flatness, cone")
-    cv_an.add_argument("--p", type=int, required=True)
-    cv_an.add_argument("--q", type=int, required=True)
-    cv_an.add_argument("--germ", type=str, default=None,
-                       help="germ spec, e.g. 't^2 + 1/2*t^3 + O(t^9)' (default: t)")
-    cv_an.set_defaults(handler=_cmd_curve_analyze)
-    cv_mul = cv_cmds.add_parser("multiplier", help="floor vs exact holomorphy condition")
-    cv_mul.add_argument("--p", type=int, required=True)
-    cv_mul.add_argument("--q", type=int, required=True)
-    cv_mul.add_argument("--a", type=int, required=True)
-    cv_mul.add_argument("--b", type=int, required=True)
-    cv_mul.set_defaults(handler=_cmd_curve_multiplier)
-
-    rado = groups.add_parser("rado", help="global sections of the glued curve")
-    rado_cmds = rado.add_subparsers(dest="cmd", required=True)
-    rado_wit = rado_cmds.add_parser("witness", help="site refusing a given power")
-    rado_wit.add_argument("--max-k", type=int, required=True, dest="max_k")
-    rado_wit.add_argument("--n", type=int, required=True)
-    rado_wit.set_defaults(handler=_cmd_rado_witness)
-
-    th1 = groups.add_parser("theorem1", help="uniform power bounds per region")
-    th1_cmds = th1.add_subparsers(dest="cmd", required=True)
-    th1_bound = th1_cmds.add_parser("bound", help="region power bound and decision table")
-    th1_bound.add_argument("--max-k", type=int, required=True, dest="max_k")
-    th1_bound.add_argument("--region", type=int, required=True)
-    th1_bound.add_argument("--n", type=int, default=None)
-    th1_bound.set_defaults(handler=_cmd_theorem1_bound)
-
-    ng = groups.add_parser("nagata", help="dual-number sections over the punctured line")
-    ng_cmds = ng.add_subparsers(dest="cmd", required=True)
-    ng_demo = ng_cmds.add_parser("demo", help="extension table for powers of z + eps*g")
-    ng_demo.add_argument("--g", choices=["inv", "expinv"], required=True)
-    ng_demo.add_argument("--max-pow", type=int, required=True, dest="max_pow")
-    ng_demo.set_defaults(handler=_cmd_nagata_demo)
-
+    commands = {
+        group: groups.add_parser(group, help=text).add_subparsers(dest="cmd", required=True)
+        for group, text in _GROUPS.items()
+    }
+    for (group, cmd), (handler, text, flags) in _COMMANDS.items():
+        command = commands[group].add_parser(cmd, help=text)
+        for option, (dest, kind, required, flag_help) in flags.items():
+            typed = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+            command.add_argument(option, dest=dest, required=required, help=flag_help, **typed)
+        command.set_defaults(handler=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # both readers give the handlers one namespace type
+    args = _read_argv(argv) or SimpleNamespace(**vars(build_parser().parse_args(argv)))
     try:
         report = args.handler(args)
         # rendering raises ValueError for an int too long for str(); _json

@@ -48,8 +48,8 @@ class NumericalSemigroup:
 
         Every gap lies below the conductor c, so the gaps are the bits below
         c that `monoid_bits((p, q), c)` leaves clear: the members below c,
-        {0} closed under adding p and then q, in about log2(c/g) doubling
-        shifts for each generator g.  The mask is built on the first call
+        the multiples of p in one division, then closed under adding q in
+        about log2(c/q) doubling shifts.  The mask is built on the first call
         and kept, so every later scan on this semigroup reads it.
         """
         if self._gaps is None:
@@ -108,12 +108,18 @@ def monoid_bits(generators: Iterable[int], width: int) -> int:
     sum.  The bitset starts as {0}; each generator g below the width that
     is not yet a member closes it under adding g, by
     `doubling_shifts(g, ceil(width/g))`, and it is cut to the width again.
-    A member generator adds nothing, since the bitset is already closed
-    under adding it."""
+    While the bitset is still {0}, that closure is the k = ceil(width/g)
+    multiples 0, g, ..., (k-1)*g, all below the width: the base-2^g repunit
+    (2^(g*k) - 1) / (2^g - 1), one division.  A member generator adds
+    nothing, since the bitset is already closed under adding it."""
     bits = 1
     for g in generators:
         if g < width and not bits >> g & 1:
-            for shift in doubling_shifts(g, -(-width // g)):
-                bits |= bits << shift
-            bits &= (1 << width) - 1
+            k = -(-width // g)
+            if bits == 1:
+                bits = ((1 << g * k) - 1) // ((1 << g) - 1)
+            else:
+                for shift in doubling_shifts(g, k):
+                    bits |= bits << shift
+                bits &= (1 << width) - 1
     return bits

@@ -10,6 +10,7 @@ membership table is the one every test reads.
 
 from __future__ import annotations
 
+import argparse
 import cmath
 import importlib.util
 import math
@@ -24,6 +25,7 @@ from cuspgerms import (
     RootBoundReport,
     UndecidableAtTruncation,
     WeakGenerationReport,
+    cli,
 )
 
 
@@ -382,3 +384,63 @@ def random_vanishing_germ(rng: Random, max_width: int = 6) -> LaurentGerm:
             c = GaussianRational(c, rng.choice(_COEFF_POOL))
         terms[e] = c
     return LaurentGerm(terms, tail)
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The command-line parser written out by hand, call by call, as the CLI
+    built it before it declared its commands in one table; the table-built
+    `cli.build_parser()` must give the same help, usage errors and namespaces."""
+    parser = argparse.ArgumentParser(
+        prog="cuspgerms",
+        description="Exact holomorphy arithmetic on monomial cusp curves.",
+    )
+    parser.add_argument("--json", action="store_true", help="emit a structured JSON report")
+    groups = parser.add_subparsers(dest="group", required=True)
+
+    sg = groups.add_parser("semigroup", help="numerical semigroup computations")
+    sg_cmds = sg.add_subparsers(dest="cmd", required=True)
+    sg_info = sg_cmds.add_parser("info", help="conductor, Frobenius number, membership table")
+    sg_info.add_argument("--p", type=int, required=True)
+    sg_info.add_argument("--q", type=int, required=True)
+    sg_info.add_argument("--bound", type=int, default=None,
+                         help="membership table bound (default: conductor + 1)")
+    sg_info.set_defaults(handler=cli._cmd_semigroup_info)
+
+    cv = groups.add_parser("curve", help="cusp curve invariants")
+    cv_cmds = cv.add_subparsers(dest="cmd", required=True)
+    cv_an = cv_cmds.add_parser("analyze", help="holomorphy, powers, flatness, cone")
+    cv_an.add_argument("--p", type=int, required=True)
+    cv_an.add_argument("--q", type=int, required=True)
+    cv_an.add_argument("--germ", type=str, default=None,
+                       help="germ spec, e.g. 't^2 + 1/2*t^3 + O(t^9)' (default: t)")
+    cv_an.set_defaults(handler=cli._cmd_curve_analyze)
+    cv_mul = cv_cmds.add_parser("multiplier", help="floor vs exact holomorphy condition")
+    cv_mul.add_argument("--p", type=int, required=True)
+    cv_mul.add_argument("--q", type=int, required=True)
+    cv_mul.add_argument("--a", type=int, required=True)
+    cv_mul.add_argument("--b", type=int, required=True)
+    cv_mul.set_defaults(handler=cli._cmd_curve_multiplier)
+
+    rado = groups.add_parser("rado", help="global sections of the glued curve")
+    rado_cmds = rado.add_subparsers(dest="cmd", required=True)
+    rado_wit = rado_cmds.add_parser("witness", help="site refusing a given power")
+    rado_wit.add_argument("--max-k", type=int, required=True, dest="max_k")
+    rado_wit.add_argument("--n", type=int, required=True)
+    rado_wit.set_defaults(handler=cli._cmd_rado_witness)
+
+    th1 = groups.add_parser("theorem1", help="uniform power bounds per region")
+    th1_cmds = th1.add_subparsers(dest="cmd", required=True)
+    th1_bound = th1_cmds.add_parser("bound", help="region power bound and decision table")
+    th1_bound.add_argument("--max-k", type=int, required=True, dest="max_k")
+    th1_bound.add_argument("--region", type=int, required=True)
+    th1_bound.add_argument("--n", type=int, default=None)
+    th1_bound.set_defaults(handler=cli._cmd_theorem1_bound)
+
+    ng = groups.add_parser("nagata", help="dual-number sections over the punctured line")
+    ng_cmds = ng.add_subparsers(dest="cmd", required=True)
+    ng_demo = ng_cmds.add_parser("demo", help="extension table for powers of z + eps*g")
+    ng_demo.add_argument("--g", choices=["inv", "expinv"], required=True)
+    ng_demo.add_argument("--max-pow", type=int, required=True, dest="max_pow")
+    ng_demo.set_defaults(handler=cli._cmd_nagata_demo)
+
+    return parser

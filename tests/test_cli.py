@@ -1,18 +1,21 @@
 """Command-line surface: grammars, exit codes, JSON schema, determinism."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import shlex
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cuspgerms
@@ -26,6 +29,7 @@ from cuspgerms import (
     parse_germ,
 )
 from cuspgerms.cli import main
+from independent_oracles import reference_parser
 
 
 def run(capsys, *argv):
@@ -121,11 +125,39 @@ def test_semigroup_bound_flag(capsys):
     assert report["results"]["membersUpToBound"] == [0, 3, 4, 6, 7, 8]
 
 
+@pytest.mark.parametrize("p, q, bound", [
+    (3, 5, 0), (7, 11, 30), (7, 11, None), (7, 11, 200), (169, 173, None),
+], ids=["bound 0", "below the conductor", "default", "above the conductor", "169,173"])
+def test_semigroup_table_is_the_contains_split(capsys, p, q, bound):
+    s = NumericalSemigroup(p, q)
+    rows = range((s.conductor() + 1 if bound is None else bound) + 1)
+    flags = [] if bound is None else ["--bound", str(bound)]
+    results = run_json(capsys, "semigroup", "info", "--p", str(p), "--q", str(q),
+                       *flags)["results"]
+    assert results["membersUpToBound"] == [n for n in rows if s.contains(n)]
+    assert results["gapsUpToBound"] == [n for n in rows if not s.contains(n)]
+
+
+def test_semigroup_table_on_a_large_semigroup_stays_small(capsys):
+    # the conductor is 2,998 * 3,000: a bitset up to it would take 8 MB to
+    # build for a table of six rows
+    tracemalloc.start()
+    try:
+        results = run_json(capsys, "semigroup", "info", "--p", "2999", "--q", "3001",
+                           "--bound", "5")["results"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (results["membersUpToBound"], results["gapsUpToBound"]) == ([0], [1, 2, 3, 4, 5])
+    assert peak < 2**20
+
+
 def test_semigroup_bound_limit_is_domain_error(capsys, monkeypatch):
-    def no_table(self, n):
+    def no_table(*args):
         raise AssertionError("an oversized membership table was started")
 
     monkeypatch.setattr(NumericalSemigroup, "contains", no_table)
+    monkeypatch.setattr(cuspgerms.semigroup, "monoid_bits", no_table)
     for argv, bound in ((["--p", "100000", "--q", "100001"], 99999 * 100000 + 1),
                         (["--p", "3", "--q", "5", "--bound", "1000001"], 1000001)):
         for flags in ([], ["--json"]):
@@ -205,10 +237,10 @@ def test_semigroup_bound_at_limit_is_accepted(monkeypatch):
     class TableStarted(Exception):
         pass
 
-    def stop(self, n):
+    def stop(generators, width):
         raise TableStarted
 
-    monkeypatch.setattr(NumericalSemigroup, "contains", stop)
+    monkeypatch.setattr(cuspgerms.semigroup, "monoid_bits", stop)
     with pytest.raises(TableStarted):
         main(["semigroup", "info", "--p", "3", "--q", "5", "--bound", "1000000"])
 
@@ -254,6 +286,9 @@ def _src_env(**extra: str) -> dict[str, str]:
 
 
 def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    # a well-formed command is read from the command table and builds no
+    # parser; a usage error builds every parser once, and nothing afterwards
+    # builds one again
     argvs = (["curve", "analyze", "--p", "3", "--q", "4"],
              ["semigroup", "bogus"],  # usage error, exit code 2
              ["semigroup", "info", "--p", "3", "--q", "5"])
@@ -275,6 +310,7 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch):
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     cli.build_parser.cache_clear()
     in_process = []
+    built_by_call = []
     for argv in argvs:
         try:
             code = main(list(argv))
@@ -282,12 +318,16 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch):
             code = exc.code
         captured = capsys.readouterr()
         in_process.append((code, captured.out, captured.err))
-        if len(in_process) == 1:
-            built_by_first_call = len(built)
+        built_by_call.append(list(built))
     assert [code for code, _, _ in fresh] == [0, 2, 0]
     assert in_process == fresh
-    assert built.count("cuspgerms") == 1  # the top-level parser
-    assert len(built) == built_by_first_call  # no subparser rebuilt either
+    assert built_by_call[0] == []
+    commands = {"semigroup": ["info"], "curve": ["analyze", "multiplier"],
+                "rado": ["witness"], "theorem1": ["bound"], "nagata": ["demo"]}
+    progs = ["cuspgerms"] + [f"cuspgerms {group}" for group in commands] + [
+        f"cuspgerms {group} {cmd}" for group, cmds in commands.items() for cmd in cmds]
+    assert sorted(built_by_call[1]) == sorted(progs)  # each parser exactly once
+    assert built_by_call[2] == built_by_call[1]
 
 
 def test_cli_import_skips_dataclasses_inspect_and_ast():
@@ -300,6 +340,133 @@ def test_cli_import_skips_dataclasses_inspect_and_ast():
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+_ARGPARSE_LOADED = (
+    (None, False),  # the import alone
+    (["--json", "curve", "analyze", "--p", "3", "--q", "4", "--germ", "t^2 + O(t^9)"], False),
+    (["--help"], True),
+    (["semigroup", "bogus"], True),  # usage error
+)
+
+
+@pytest.mark.parametrize("argv, loaded", _ARGPARSE_LOADED,
+                         ids=["import"] + [" ".join(a) for a, _ in _ARGPARSE_LOADED[1:]])
+def test_cli_imports_argparse_only_for_help_and_usage_errors(argv, loaded):
+    # argparse costs a well-formed command its import and the parser build
+    script = textwrap.dedent(f"""
+        import contextlib, io, sys
+        from cuspgerms import cli
+        if {argv!r} is not None:
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                try:
+                    cli.main({argv!r})
+                except SystemExit:
+                    pass
+        print("argparse" in sys.modules)
+    """)
+    result = subprocess.run([sys.executable, "-c", script],
+                            env=_src_env(PYTHONDONTWRITEBYTECODE="1"),
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == f"{loaded}\n"
+
+
+# -- the command table against argparse ---------------------------------------
+
+# every group, command and flag, with a well-formed value for each flag
+_WELL_FORMED = {
+    ("semigroup", "info"): {"--p": "5", "--q": "7", "--bound": "3"},
+    ("curve", "analyze"): {"--p": "5", "--q": "7", "--germ": "t + t^2"},
+    ("curve", "multiplier"): {"--p": "5", "--q": "7", "--a": "1", "--b": "2"},
+    ("rado", "witness"): {"--max-k": "5", "--n": "3"},
+    ("theorem1", "bound"): {"--max-k": "5", "--region": "3", "--n": "2"},
+    ("nagata", "demo"): {"--g": "inv", "--max-pow": "3"},
+}
+_VALUES = ["--json", "-h", "--", "--p=3", "--ge", "5", "-5", " 5", "x", "", "t + t^2", "-t",
+           "-t + t^2", "inv", "expinv"]
+_TOKENS = sorted({word for (group, cmd), flags in _WELL_FORMED.items()
+                  for word in (group, cmd, *flags)}) + _VALUES
+
+
+@st.composite
+def command_lines(draw):
+    """Mostly well-formed command lines: a command with most of its flags in
+    any order, each mostly with its well-formed value, else a token other
+    than a word of the table, and sometimes a token inserted anywhere."""
+    (group, cmd), flags = draw(st.sampled_from(sorted(_WELL_FORMED.items())))
+    mostly = st.sampled_from([True] * 3 + [False])
+    pairs = [[flag, value if draw(mostly) else draw(st.sampled_from(_VALUES))]
+             for flag, value in flags.items() if draw(mostly)]
+    words = ["--json"] * draw(st.booleans()) + [group, cmd]
+    words += [word for pair in draw(st.permutations(pairs)) for word in pair]
+    if not draw(mostly):
+        words.insert(draw(st.integers(0, len(words))), draw(st.sampled_from(_TOKENS)))
+    return words
+
+
+def _parse(parser, argv):
+    """What `parser.parse_args(argv)` gives: its namespace, or its exit code
+    with what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        return exc.code, out.getvalue(), err.getvalue()
+
+
+@given(command_lines() | st.lists(st.sampled_from(_TOKENS), max_size=10))
+@settings(max_examples=400)
+@example(["curve", "analyze", "--p", "5", "--q", "7", "--germ", "-t"])
+@example(["curve", "analyze", "--germ", "-t + t^2", "--p", "5", "--q", "7"])
+@example(["semigroup", "info", "--p", "5", "--q", "7", "--bound", "-5"])
+@example(["--json", "nagata", "demo", "--max-pow", " 5", "--g", "expinv"])
+def test_table_reader_agrees_with_argparse(argv):
+    # the table-built parser behaves like the hand-written one on every
+    # argv, and where the table reader accepts an argv it gives argparse's
+    # namespace (a usage error there is a disagreement)
+    parsed = _parse(cli.build_parser(), argv)
+    assert parsed == _parse(reference_parser(), argv)
+    read = cli._read_argv(argv)
+    if read is not None:
+        assert vars(read) == parsed
+
+
+def test_table_reader_leaves_every_dash_value_to_argparse():
+    # argparse reads "-5" and "-t + t^2" as values but "-t" as an option, and
+    # which strings it takes for negative numbers differs between versions
+    for (group, cmd), flags in _WELL_FORMED.items():
+        argv = [group, cmd, *(word for pair in flags.items() for word in pair)]
+        assert vars(cli._read_argv(argv)) == _parse(cli.build_parser(), argv)
+        for i in range(3, len(argv), 2):
+            for value in _VALUES:
+                if value.startswith("-"):
+                    assert cli._read_argv(argv[:i] + [value] + argv[i + 1:]) is None
+
+
+def test_table_parser_prints_the_hand_written_help(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    built, reference = cli.build_parser(), reference_parser()
+    assert built.format_help() == reference.format_help()
+
+    def subparsers(parser):
+        return next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+
+    groups, reference_groups = subparsers(built), subparsers(reference)
+    assert list(groups) == list(reference_groups) == [
+        "semigroup", "curve", "rado", "theorem1", "nagata"]
+    helps = 0
+    for group, parser in groups.items():
+        assert parser.format_help() == reference_groups[group].format_help()
+        commands, reference_commands = subparsers(parser), subparsers(reference_groups[group])
+        assert list(commands) == list(reference_commands)
+        for cmd, command in commands.items():
+            assert command.format_help() == reference_commands[cmd].format_help()
+            helps += 1
+    assert helps == 6
 
 
 # the library modules each command runs, besides cuspgerms, cli and errors

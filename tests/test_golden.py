@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from cuspgerms import cli
 from cuspgerms.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -30,3 +31,14 @@ def test_golden_invocation(capsys, record):
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (
         record["code"], record["stdout"], record["stderr"])
+
+
+def test_table_reader_reads_every_recorded_command():
+    # argparse reads the two records whose value starts with "-" (`--bound -1`)
+    refused = [r["argv"] for r in CORPUS if cli._read_argv(r["argv"]) is None]
+    assert refused == [flags + ["semigroup", "info", "--p", "3", "--q", "5", "--bound", "-1"]
+                       for flags in ([], ["--json"])]
+    for record in CORPUS:
+        if record["argv"] not in refused:
+            assert vars(cli._read_argv(record["argv"])) == vars(
+                cli.build_parser().parse_args(record["argv"]))

@@ -154,7 +154,7 @@ def test_monoid_bits_are_the_sums_of_the_generators_below_the_width(generators, 
 
 
 def test_gap_mask_is_built_once_per_semigroup(monkeypatch):
-    # the mask is built once, with shifts by each generator below the conductor
+    # the mask is built once, with shifts by the second generator
     built = []
     doubling_shifts = semigroup.doubling_shifts
 
