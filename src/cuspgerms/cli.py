@@ -36,35 +36,45 @@ def _json(value: Any, pad: str = "\n") -> str:
     """`json.dumps(value, indent=2, default=str)`, byte for byte, for the
     values reports hold (no floats), in one pass with the C string escaper:
     json's indented encoding runs its pure-Python encoder.  `pad` is the
-    newline and indent that close the value's brackets."""
-    if isinstance(value, str):
+    newline and indent that close the value's brackets.  The exact types
+    reports are made of come first; every other value takes the chain of
+    identity and `isinstance` tests, bools before ints as in json."""
+    kind = type(value)
+    if kind is str:
         return _quote(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
+    if kind is int:
         return int.__repr__(value)  # raises ValueError past the digit limit
+    if kind is not dict and kind is not list:
+        if value is None:
+            return "null"
+        if value is True:
+            return "true"
+        if value is False:
+            return "false"
+        if isinstance(value, str):
+            return _quote(value)
+        if isinstance(value, int):
+            return int.__repr__(value)
+        if not isinstance(value, (list, tuple, dict)):
+            return _quote(str(value))  # decisions, germs, fractions
     inner = pad + "  "
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        if all(type(v) is int for v in value):  # membership tables; bools excluded
-            body = ("," + inner).join(map(int.__repr__, value))
-        else:
-            body = ("," + inner).join([_json(v, inner) for v in value])
-        return f"[{inner}{body}{pad}]"
     if isinstance(value, dict):
         if not value:
             return "{}"
         body = ("," + inner).join([
-            f"{_quote(k if isinstance(k, str) else int.__repr__(k))}: {_json(v, inner)}"
+            f"{_quote(k if isinstance(k, str) else int.__repr__(k))}: "
+            + (_quote(v) if type(v) is str else
+               int.__repr__(v) if type(v) is int else _json(v, inner))
             for k, v in value.items()
         ])
         return f"{{{inner}{body}{pad}}}"
-    return _quote(str(value))  # decisions, germs, fractions
+    if not value:
+        return "[]"
+    if all(type(v) is int for v in value):  # membership tables; bools excluded
+        body = ("," + inner).join(map(int.__repr__, value))
+    else:
+        body = ("," + inner).join([_json(v, inner) for v in value])
+    return f"[{inner}{body}{pad}]"
 
 
 def _render_human(report: dict[str, Any]) -> str:

@@ -36,6 +36,10 @@ class RadoGerm(NamedTuple):
     pullback: LaurentGerm
 
 
+# the pullback of every curve's unit-order germ; germs are immutable, so one serves all
+_PULLBACK = LaurentGerm.monomial(1)
+
+
 class WeakGenerationReport(NamedTuple):
     generator_power_max: int  # r: module generators are the powers 0..r of the unit-order germ
     checked_up_to: int
@@ -90,7 +94,7 @@ class CuspCurve:
         """Minimal natural solution (m, n) of m*q - n*p = 1, with 1 <= m <= p."""
         m = pow(self.q, -1, self.p)  # in 1..p-1 since p, q are coprime and p >= 2
         n = (m * self.q - 1) // self.p
-        return RadoGerm(m=m, n=n, pullback=LaurentGerm.monomial(1))
+        return RadoGerm(m=m, n=n, pullback=_PULLBACK)
 
     # -- holomorphy decisions -------------------------------------------------
 

@@ -11,10 +11,11 @@ three-valued (yes / no / unknown) rather than silently wrong.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING
 
 from .errors import GermParseError
 
@@ -201,27 +202,40 @@ class LaurentGerm:
         terms: Mapping[int, CoeffLike] | Iterable[tuple[int, CoeffLike]] = (),
         tail_bound: int | None = None,
     ):
+        # each coefficient is read as the numerators and denominators of its
+        # parts; `_from_parts` takes the primitive form in one lcm and one gcd
         items = terms.items() if isinstance(terms, Mapping) else terms
-        sums: dict[int, tuple[Fraction, Fraction]] = {}  # e: (re, im)
+        parts = []
         for e, c in items:
-            if tail_bound is not None and e >= tail_bound:
-                continue
-            if isinstance(c, GaussianRational):
-                re, im = c.re, c.im
-            else:
-                re, im = Fraction(c), _FRACTION_ZERO
-            s = sums.get(e)
-            sums[e] = (re, im) if s is None else (s[0] + re, s[1] + im)
-        # D, the lcm of the reduced parts' denominators, is primitive: if p^a
-        # exactly divides D, it exactly divides the denominator v of some part
-        # u/v, and then the numerator u * D/v is prime to p
-        parts = {e: s for e, s in sorted(sums.items()) if s[0] or s[1]}
-        den = lcm(*(x.denominator for s in parts.values() for x in s))
-        self._num = {e: (re.numerator * (den // re.denominator),
-                         im.numerator * (den // im.denominator))
-                     for e, (re, im) in parts.items()}
-        self._den = den
-        self._tail = tail_bound
+            if tail_bound is None or e < tail_bound:
+                if isinstance(c, GaussianRational):
+                    re, im = c.re, c.im
+                else:
+                    re, im = c if isinstance(c, (int, Fraction)) else Fraction(c), 0
+                parts.append((e, re.numerator, re.denominator, im.numerator, im.denominator))
+        germ = LaurentGerm._from_parts(parts, tail_bound)
+        self._num, self._den, self._tail = germ._num, germ._den, tail_bound
+
+    @classmethod
+    def _from_parts(cls, terms: list[tuple[int, ...]], tail_bound: int | None) -> "LaurentGerm":
+        """The germ of the terms (e, a, b, c, d), each the coefficient
+        a/b + (c/d)i of t^e with b, d > 0, below the tail bound; the
+        fractions need not be reduced, and terms of one exponent are summed.
+        Every constructor of a germ from coefficients reads its input
+        through here.
+
+        The primitive form takes one lcm, then one gcd: each part is put
+        over the lcm D of all the denominators, the numerators of each
+        exponent are summed as integers, zero sums are dropped, and
+        `_reduced` divides out the gcd of D and every numerator part left.
+        """
+        den = lcm(*[x for _, _, b, _, d in terms for x in (b, d)])
+        sums: dict[int, Gaussian] = {}
+        for e, a, b, c, d in terms:
+            re, im = sums.get(e, _ZERO)
+            sums[e] = re + a * (den // b), im + c * (den // d)
+        num = {e: z for e, z in sorted(sums.items()) if z[0] or z[1]}
+        return cls._reduced(num, den, tail_bound)
 
     @classmethod
     def _wrap(cls, num: dict[int, Gaussian], den: int, tail_bound: int | None) -> "LaurentGerm":
@@ -743,15 +757,17 @@ def _min_tail(a: int | None, b: int | None) -> int | None:
 
 # -- parsing ----------------------------------------------------------------
 
-_RAT = r"[+-]?\d+(?:/\d+)?"
 # one term with its sign; standalone coefficients are unsigned, so that
-# "2-3*t" reads as 2 and -3*t (signed parts only inside Gaussian pairs)
+# "2-3*t" reads as 2 and -3*t (signed parts only inside Gaussian pairs).
+# Groups: sign, tail bound, a rational's numerator and denominator, a
+# Gaussian pair's four, the power after a coefficient, a bare power.
 _TERM = re.compile(
-    r"\s*(?P<sign>[+-]?)\s*(?:"
-    r"O\(t\^(?P<tail>-?\d+)\)"
-    rf"|(?:(?P<rat>\d+(?:/\d+)?)|\(\s*(?P<re>{_RAT})\s*,\s*(?P<im>{_RAT})\s*\))"
-    r"(?:\s*\*\s*(?P<power>t(?:\^-?\d+)?))?"
-    r"|(?P<t>t(?:\^-?\d+)?)"
+    r"\s*([+-]?)\s*(?:"
+    r"O\(t\^(-?\d+)\)"
+    r"|(?:(\d+)(?:/(\d+))?"
+    r"|\(\s*([+-]?\d+)(?:/(\d+))?\s*,\s*([+-]?\d+)(?:/(\d+))?\s*\))"
+    r"(?:\s*\*\s*(t(?:\^-?\d+)?))?"
+    r"|(t(?:\^-?\d+)?)"
     r")\s*"
 )
 
@@ -761,34 +777,40 @@ def parse_germ(text: str) -> LaurentGerm:
 
     Coefficients are rationals `a/b` or Gaussian pairs `(a/b,c/d)`; a bare
     `t^e` means coefficient 1, and `0` is the zero germ.  Any other text,
-    a zero denominator included, raises GermParseError.
+    a zero denominator included, raises GermParseError.  Each part is read
+    with `int()` in the order `Fraction` would read it, so a faulty term
+    gives the error `Fraction` would: a number longer than `int()` converts,
+    or a zero denominator.
     """
     if not text.strip():
         raise GermParseError("empty germ specification")
-    terms: list[tuple[int, GaussianRational]] = []
+    terms = []  # (e, a, b, c, d), as `LaurentGerm._from_parts` reads them
     tail: int | None = None
     pos = 0
     while pos < len(text):
         m = _TERM.match(text, pos)
         # the first term may carry only a minus; every later term needs a sign
-        if not m or (m["sign"] == "+" if pos == 0 else not m["sign"]):
+        if not m or (m[1] == "+" if pos == 0 else not m[1]):
             raise GermParseError(f"cannot read germ at ...{text[pos:]!r}")
         pos = m.end()
-        negate = m["sign"] == "-"
-        power = m["power"] or m["t"]
+        sign, bound, a, b, re_a, re_b, im_a, im_b, power, bare = m.groups()
+        power = power or bare
         try:
-            bound = None if m["tail"] is None else int(m["tail"])
+            if bound is not None:
+                bound = int(bound)
             exponent = 0 if power is None else int(power[2:] or 1)  # "t" or "t^e"
-            if m["re"] is None:
-                re_part, im_part = Fraction(m["rat"] or 1), _FRACTION_ZERO
+            if re_a is None:
+                a, b, c, d = int(a or 1), int(b or 1), 0, 1
             else:
-                re_part, im_part = Fraction(m["re"]), Fraction(m["im"])
-        except ZeroDivisionError:
-            raise GermParseError(f"zero denominator in {m[0].strip()!r}") from None
+                # the real part is read, zero check included, before the imaginary one
+                a, b = int(re_a), int(re_b or 1)
+                c, d = (int(im_a), int(im_b or 1)) if b else (0, 0)
         except ValueError as exc:  # a number longer than int() converts
             raise GermParseError(str(exc)) from None
+        if not (b and d):
+            raise GermParseError(f"zero denominator in {m[0].strip()!r}")
         if bound is not None:
-            if negate:
+            if sign == "-":
                 raise GermParseError("tail marker cannot be subtracted")
             if tail is not None:
                 raise GermParseError("more than one tail marker")
@@ -797,10 +819,11 @@ def parse_germ(text: str) -> LaurentGerm:
         if tail is not None:
             # grammar places the tail marker last
             raise GermParseError("terms after the tail marker")
-        if negate:
-            re_part, im_part = -re_part, -im_part
-        terms.append((exponent, GaussianRational(re_part, im_part)))
-    for e, _ in terms:
-        if tail is not None and e >= tail:
-            raise GermParseError(f"stored exponent {e} not below tail bound {tail}")
-    return LaurentGerm(terms, tail)
+        if sign == "-":
+            a, c = -a, -c
+        terms.append((exponent, a, b, c, d))
+    if tail is not None:
+        for e, _, _, _, _ in terms:
+            if e >= tail:
+                raise GermParseError(f"stored exponent {e} not below tail bound {tail}")
+    return LaurentGerm._from_parts(terms, tail)

@@ -14,6 +14,7 @@ import argparse
 import cmath
 import importlib.util
 import math
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -21,6 +22,7 @@ from random import Random
 
 from cuspgerms import (
     GaussianRational,
+    GermParseError,
     LaurentGerm,
     RootBoundReport,
     UndecidableAtTruncation,
@@ -444,3 +446,72 @@ def reference_parser() -> argparse.ArgumentParser:
     ng_demo.set_defaults(handler=cli._cmd_nagata_demo)
 
     return parser
+
+
+_RAT = r"[+-]?\d+(?:/\d+)?"
+_REFERENCE_TERM = re.compile(
+    r"\s*(?P<sign>[+-]?)\s*(?:"
+    r"O\(t\^(?P<tail>-?\d+)\)"
+    rf"|(?:(?P<rat>\d+(?:/\d+)?)|\(\s*(?P<re>{_RAT})\s*,\s*(?P<im>{_RAT})\s*\))"
+    r"(?:\s*\*\s*(?P<power>t(?:\^-?\d+)?))?"
+    r"|(?P<t>t(?:\^-?\d+)?)"
+    r")\s*"
+)
+
+
+def reference_parse_germ(text: str) -> tuple[dict[int, tuple[int, int]], int, int | None]:
+    """The germ grammar read through `Fraction`, as the library read it
+    before it parsed into integer parts: the stored data (numerators,
+    denominator, tail) of the parsed germ, or the same `GermParseError`.
+
+    Each coefficient part is a `Fraction` (which reduces it and refuses a
+    zero denominator or a number longer than `int()` converts); the parts of
+    one exponent are summed as `Fraction`s, zero sums dropped, and every
+    numerator put over the lcm of the reduced sums' denominators, which is
+    the primitive form without a gcd."""
+    if not text.strip():
+        raise GermParseError("empty germ specification")
+    terms: list[tuple[int, Fraction, Fraction]] = []
+    tail: int | None = None
+    pos = 0
+    while pos < len(text):
+        m = _REFERENCE_TERM.match(text, pos)
+        if not m or (m["sign"] == "+" if pos == 0 else not m["sign"]):
+            raise GermParseError(f"cannot read germ at ...{text[pos:]!r}")
+        pos = m.end()
+        negate = m["sign"] == "-"
+        power = m["power"] or m["t"]
+        try:
+            bound = None if m["tail"] is None else int(m["tail"])
+            exponent = 0 if power is None else int(power[2:] or 1)
+            if m["re"] is None:
+                re_part, im_part = Fraction(m["rat"] or 1), Fraction(0)
+            else:
+                re_part, im_part = Fraction(m["re"]), Fraction(m["im"])
+        except ZeroDivisionError:
+            raise GermParseError(f"zero denominator in {m[0].strip()!r}") from None
+        except ValueError as exc:
+            raise GermParseError(str(exc)) from None
+        if bound is not None:
+            if negate:
+                raise GermParseError("tail marker cannot be subtracted")
+            if tail is not None:
+                raise GermParseError("more than one tail marker")
+            tail = bound
+            continue
+        if tail is not None:
+            raise GermParseError("terms after the tail marker")
+        if negate:
+            re_part, im_part = -re_part, -im_part
+        terms.append((exponent, re_part, im_part))
+    sums: dict[int, tuple[Fraction, Fraction]] = {}
+    for e, re_part, im_part in terms:
+        if tail is not None and e >= tail:
+            raise GermParseError(f"stored exponent {e} not below tail bound {tail}")
+        s = sums.get(e, (Fraction(0), Fraction(0)))
+        sums[e] = (s[0] + re_part, s[1] + im_part)
+    parts = {e: s for e, s in sorted(sums.items()) if s[0] or s[1]}
+    den = math.lcm(*(x.denominator for s in parts.values() for x in s))
+    num = {e: (x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
+           for e, (x, y) in parts.items()}
+    return num, den, tail

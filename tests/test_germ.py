@@ -8,10 +8,14 @@ from itertools import chain, islice
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from independent_oracles import sympy_truncated_power, sympy_truncated_product
+from independent_oracles import (
+    reference_parse_germ,
+    sympy_truncated_power,
+    sympy_truncated_product,
+)
 
 from cuspgerms import (
     CERTAINLY_YES,
@@ -194,6 +198,23 @@ def test_products_powers_and_power_decisions_build_no_fraction(monkeypatch):
     assert product == want_product and power == want_power
     assert have == want
     assert [d.witness for d in have] == [d.witness for d in want]
+
+
+def test_parsing_and_the_unit_order_germ_build_no_fraction(monkeypatch):
+    # unreduced and signed parts, a Gaussian pair and a tail are read as ints
+    want = germ("(1/2,-3)*t^2 - 3/5*t^3 + O(t^9)")
+    want_rado = CuspCurve(5, 7).rado_germ()
+
+    def refuse(*args):
+        raise AssertionError("Fraction built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr("cuspgerms.germ.Fraction", refuse)
+        have = parse_germ("(1/2,-3)*t^2 - 3/5*t^3 + O(t^9)")
+        have_unreduced = parse_germ("(2/4,-6/2)*t^2 - 6/10*t^3 + t^5 - t^5 + O(t^9)")
+        rado = CuspCurve(5, 7).rado_germ()
+    assert have == want and have_unreduced == want
+    assert rado == want_rado and rado.pullback == T
 
 
 def test_pow_rejects_negative():
@@ -752,3 +773,70 @@ def test_parse_returns_a_germ_or_refuses(text):
     except GermParseError:
         return
     assert isinstance(f, LaurentGerm)
+
+
+# -- the parser against its Fraction-building reference -----------------------------
+
+INT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+LONG = "1" * (INT_LIMIT + 1)  # one digit more than int() converts
+# the sampled lists make over-long numbers and zero denominators rare
+digits = st.sampled_from(["0", "1", "1", "2", "3", "4", "6", "12", "007", LONG])
+ratios = st.one_of(
+    digits,
+    st.tuples(digits, st.sampled_from(["/1", "/2", "/3", "/4", "/6", "/12", "/0", "/00"]))
+    .map("".join),
+)
+signed_ratios = st.tuples(st.sampled_from(["", "+", "-"]), ratios).map("".join)
+exponents = st.sampled_from(["-2", "-1", "0", "1", "2", "3", "4", "4", "5", LONG])
+powers = st.one_of(st.just("t"), exponents.map("t^".__add__))
+
+
+@st.composite
+def parser_texts(draw):
+    """Term lists in the germ grammar, and some just outside it: unreduced
+    parts, repeated exponents (so sums that cancel), signed Gaussian parts
+    under a leading sign, zero denominators and numbers longer than `int()`
+    converts in every slot, and tails anywhere."""
+    text = ""
+    for i in range(draw(st.integers(1, 5))):
+        sign = draw(st.sampled_from(["", "", "-", "+"] if i == 0 else ["-", "+", " - ", " + "]))
+        kind = draw(st.sampled_from(["rational", "rational", "pair", "pair", "bare", "tail"]))
+        if kind == "tail":
+            body = f"O(t^{draw(exponents)})"
+        elif kind == "bare":
+            body = draw(powers)
+        else:
+            if kind == "rational":
+                coeff = draw(ratios)
+            else:
+                coeff = f"({draw(signed_ratios)}, {draw(signed_ratios)})"
+            body = draw(st.one_of(st.just(coeff), powers.map(f"{coeff}*".__add__)))
+        text += f"{sign}{body}"
+    return text
+
+
+@given(st.one_of(parser_texts(), germ_characters, germ_pieces))
+@example("2/4*t + 6/4*t^2")
+@example("t - t")
+@example("(1/2,1/2)*t - (1/2,1/2)*t + 1/3")
+@example("-(-1/2,+3/4)*t^2 + (2,-4)*t^2")
+@example("(1/0,2)*t")
+@example("(1,2/0)*t")
+@example(f"(1/0,{LONG})")
+@example(f"({LONG},1/0)")
+@example(f"{LONG}/0*t")
+@example(f"t^{LONG}")
+@example(f"t + O(t^{LONG})")
+@settings(max_examples=500)
+def test_parse_matches_the_fraction_reference(text):
+    try:
+        want = reference_parse_germ(text)
+    except GermParseError as exc:
+        with pytest.raises(GermParseError) as excinfo:
+            parse_germ(text)
+        assert type(excinfo.value) is GermParseError and str(excinfo.value) == str(exc)
+        return
+    f = parse_germ(text)
+    num, den, tail = want
+    # the same terms in the same (increasing) exponent order
+    assert (list(f._num.items()), f._den, f._tail) == (list(num.items()), den, tail)
