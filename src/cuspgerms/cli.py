@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import sys
-from json.encoder import encode_basestring_ascii as _quote
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -18,6 +17,11 @@ from typing import TYPE_CHECKING, Any, Callable
 # so a command runs only the modules it uses (the package registers them lazily)
 from . import curve, germ, nagata, semigroup, surgery
 from .errors import CuspGermsError, UndecidableAtTruncation
+
+try:  # json's C string escaper, without loading the json package and its decoder
+    from _json import encode_basestring_ascii as _quote
+except ImportError:  # an interpreter built without the accelerator
+    from json.encoder import encode_basestring_ascii as _quote
 
 if TYPE_CHECKING:
     import argparse
@@ -30,6 +34,22 @@ _MAX_TABLE_BOUND = 10**6  # `semigroup info --bound`; the table has bound + 1 ro
 _MAX_NAGATA_POW = 10**4  # `nagata demo --max-pow`; one row per power
 _MAX_SITES = 10**4  # `--max-k` of `rado witness` and `theorem1 bound`; one site each
 _MAX_CONDUCTOR = 10**5  # `curve analyze`: (p-1)(q-1); the power scans grow with it
+
+
+# The quoted `"key": ` prefix of each str dict key rendered so far, filled on
+# first use.  Reports hold the handlers' fixed key names and at most
+# _MAX_SITES `perSite` keys (one per site of `theorem1 bound`), which bounds it.
+_KEY_PREFIX: dict[str, str] = {}
+
+
+def _key_prefix(key: Any) -> str:
+    """The `"key": ` prefix of a dict key not yet in `_KEY_PREFIX`: a str
+    key's is kept there; an int key is rendered by `int.__repr__`, as json
+    renders it, each time."""
+    if not isinstance(key, str):
+        return f"{_quote(int.__repr__(key))}: "
+    prefix = _KEY_PREFIX[key] = f"{_quote(key)}: "
+    return prefix
 
 
 def _json(value: Any, pad: str = "\n") -> str:
@@ -62,7 +82,7 @@ def _json(value: Any, pad: str = "\n") -> str:
         if not value:
             return "{}"
         body = ("," + inner).join([
-            f"{_quote(k if isinstance(k, str) else int.__repr__(k))}: "
+            (_KEY_PREFIX.get(k) or _key_prefix(k))
             + (_quote(v) if type(v) is str else
                int.__repr__(v) if type(v) is int else _json(v, inner))
             for k, v in value.items()
@@ -172,6 +192,13 @@ def _cmd_semigroup_info(args: SimpleNamespace) -> dict[str, Any]:
     }
 
 
+@functools.cache
+def _unit_pullback_text() -> str:
+    """The pullback of every curve's unit-order germ, the one germ
+    `curve.UNIT_PULLBACK` (t), rendered once per process."""
+    return curve.UNIT_PULLBACK.to_str()
+
+
 def _cmd_curve_analyze(args: SimpleNamespace) -> dict[str, Any]:
     cusp = curve.CuspCurve(args.p, args.q)
     conductor = cusp.semigroup.conductor()
@@ -180,16 +207,17 @@ def _cmd_curve_analyze(args: SimpleNamespace) -> dict[str, Any]:
     findings: list[str] = []
     rado = cusp.rado_germ()
     f = germ.parse_germ(args.germ) if args.germ is not None else rado.pullback
+    germ_text = f.to_str()  # both inputs.germ and results.germ
     decision = cusp.is_holomorphic_at_cusp(f)
     cover = cusp.covering_degree()
     results: dict[str, Any] = {
         "curve": cusp.spec_str(),
-        "germ": f,
+        "germ": germ_text,
         "unitOrderGerm": {
             "m": rado.m,
             "n": rado.n,
             "monomial": f"z1^{rado.m}/z2^{rado.n}",
-            "pullback": rado.pullback,
+            "pullback": _unit_pullback_text(),
         },
         "weaklyHolomorphic": cusp.is_weakly_holomorphic(f),
         "decision": decision,
@@ -218,7 +246,7 @@ def _cmd_curve_analyze(args: SimpleNamespace) -> dict[str, Any]:
         )
     return {
         "command": "curve analyze",
-        "inputs": {"p": args.p, "q": args.q, "germ": f.to_str()},
+        "inputs": {"p": args.p, "q": args.q, "germ": germ_text},
         "results": results,
         "findings": findings,
     }

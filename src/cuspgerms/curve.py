@@ -9,6 +9,7 @@ ambient holomorphic function exactly when it is a member.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -37,7 +38,13 @@ class RadoGerm(NamedTuple):
 
 
 # the pullback of every curve's unit-order germ; germs are immutable, so one serves all
-_PULLBACK = LaurentGerm.monomial(1)
+UNIT_PULLBACK = LaurentGerm.monomial(1)
+
+# one semigroup per curve shape: a semigroup is immutable apart from the gap
+# mask it builds on first use, so curves of one shape share it and its mask.
+# typed=True keeps (2.0, 3) and (True, 3) apart from (2, 3), so they still
+# raise; a call that raises is never cached.
+_semigroup = functools.lru_cache(typed=True)(NumericalSemigroup)
 
 
 class WeakGenerationReport(NamedTuple):
@@ -48,12 +55,19 @@ class WeakGenerationReport(NamedTuple):
 
 
 class CuspCurve:
-    """The cusp z1^p = z2^q with coprime p, q >= 2."""
+    """The cusp z1^p = z2^q with coprime p, q >= 2.
+
+    Curves of one shape (p, q) share one `NumericalSemigroup`, so its gap
+    mask is built once per process, not once per curve.  The shared
+    semigroups sit in an `lru_cache` of the default size: at most 128
+    shapes, each holding a gap mask of c/8 bytes (c the conductor) once a
+    power scan has built it.
+    """
 
     __slots__ = ("p", "q", "semigroup")
 
     def __init__(self, p: int, q: int):
-        self.semigroup = NumericalSemigroup(p, q)
+        self.semigroup = _semigroup(p, q)
         self.p = p
         self.q = q
 
@@ -94,7 +108,7 @@ class CuspCurve:
         """Minimal natural solution (m, n) of m*q - n*p = 1, with 1 <= m <= p."""
         m = pow(self.q, -1, self.p)  # in 1..p-1 since p, q are coprime and p >= 2
         n = (m * self.q - 1) // self.p
-        return RadoGerm(m=m, n=n, pullback=_PULLBACK)
+        return RadoGerm(m=m, n=n, pullback=UNIT_PULLBACK)
 
     # -- holomorphy decisions -------------------------------------------------
 

@@ -23,6 +23,7 @@ from cuspgerms import (
     CERTAINLY_YES,
     CuspCurve,
     Decision,
+    LaurentGerm,
     NumericalSemigroup,
     SurgeryCurve,
     cli,
@@ -469,6 +470,21 @@ def test_table_parser_prints_the_hand_written_help(monkeypatch):
     assert helps == 6
 
 
+def test_fresh_cli_process_loads_neither_argparse_nor_the_json_decoder():
+    # the string quoter comes from json's C accelerator, so a well-formed
+    # --json command runs neither the json package nor argparse
+    argv = ["--json", "semigroup", "info", "--p", "3", "--q", "5"]
+    result = subprocess.run([sys.executable, "-X", "importtime", "-m", "cuspgerms.cli", *argv],
+                            env=_src_env(PYTHONDONTWRITEBYTECODE="1"),
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["results"]["frobenius"] == 7
+    imported = {line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "cuspgerms" in imported  # the listing is read
+    assert not {"argparse", "json", "json.decoder"} & imported
+
+
 # the library modules each command runs, besides cuspgerms, cli and errors
 _MODULES_RUN = (
     (["semigroup", "info", "--p", "3", "--q", "5"], ["semigroup"]),
@@ -593,6 +609,31 @@ def test_curve_analyze_report(capsys):
     assert results["weierstrass"]["factored"] == "T^3 - z"
     assert results["weierstrass"]["annihilatesPullback"] is True
     assert results["unitOrderGerm"]["m"] == 1
+
+
+def test_curve_analyze_renders_its_germ_once(capsys, monkeypatch):
+    # inputs.germ and results.germ are one string, and the pullback t is
+    # rendered on the first report of the process only
+    rendered = []
+    to_str = LaurentGerm.to_str
+
+    def counted(self, *args, **kwargs):
+        text = to_str(self, *args, **kwargs)
+        rendered.append(text)
+        return text
+
+    monkeypatch.setattr(LaurentGerm, "to_str", counted)
+    cli._unit_pullback_text.cache_clear()
+    spec = "t^3 + 2*t^4 + 3*t^5 + O(t^36)"
+    reports = []
+    for _ in range(3):
+        reports.append(run_json(capsys, "curve", "analyze", "--p", "11", "--q", "13",
+                                "--germ", spec))
+    assert rendered == [spec, "t", spec, spec]
+    report = reports[0]
+    assert report["inputs"]["germ"] == report["results"]["germ"] == spec
+    assert report["results"]["unitOrderGerm"]["pullback"] == "t"
+    assert reports[1] == reports[2] == report
 
 
 def test_curve_analyze_with_germ(capsys):

@@ -55,6 +55,27 @@ def test_rejects_bad_parameters():
             CuspCurve(p, q)
 
 
+def test_shared_semigroups_are_keyed_by_type():
+    # curves of one shape share a semigroup from a cache keyed by value and
+    # type, so a value equal to a cached key but of another type still raises
+    assert CuspCurve(2, 3).semigroup is CuspCurve(2, 3).semigroup
+    with pytest.raises(TypeError):
+        CuspCurve(2.0, 3)
+    with pytest.raises(TypeError):
+        CuspCurve(2, 3.0)
+    with pytest.raises(ValueError):
+        CuspCurve(True, 3)
+
+
+def test_a_refused_shape_is_refused_on_every_call():
+    # a call that raises leaves nothing in the cache
+    for _ in range(3):
+        with pytest.raises(ValueError, match="coprime"):
+            CuspCurve(4, 6)
+        with pytest.raises(ValueError, match=">= 2"):
+            CuspCurve(1, 3)
+
+
 def test_spec_string_round_trip():
     c = CuspCurve.from_spec("gamma:3,4")
     assert (c.p, c.q) == (3, 4)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspgerms import CuspCurve, NumericalSemigroup, parse_germ, semigroup
+from cuspgerms import curve as curve_module
 from independent_oracles import brute_contains, brute_representation
 
 coprime_pairs = st.tuples(st.integers(2, 30), st.integers(2, 30)).filter(
@@ -154,7 +155,10 @@ def test_monoid_bits_are_the_sums_of_the_generators_below_the_width(generators, 
 
 
 def test_gap_mask_is_built_once_per_semigroup(monkeypatch):
-    # the mask is built once, with shifts by the second generator
+    # curves of one shape share one semigroup, so the mask is built once, with
+    # shifts by the second generator, across the scans of two curves; the
+    # cache is cleared first, since an earlier test may have built (5, 7)
+    curve_module._semigroup.cache_clear()
     built = []
     doubling_shifts = semigroup.doubling_shifts
 
@@ -163,12 +167,14 @@ def test_gap_mask_is_built_once_per_semigroup(monkeypatch):
         return doubling_shifts(step, count)
 
     monkeypatch.setattr(semigroup, "doubling_shifts", counted)
-    curve = CuspCurve(5, 7)
-    s = curve.semigroup
+    first, second = CuspCurve(5, 7), CuspCurve(5, 7)
+    s = first.semigroup
+    assert second.semigroup is s
     assert s.conductor() == 24
-    # both scans of `curve analyze` read the mask of one semigroup
+    # both scans of `curve analyze`, on each curve, read the mask of one semigroup
     f = parse_germ("t + t^2")
-    assert (curve.min_power(f), curve.stable_power(f)) == (24, 24)
+    for curve in (first, second):
+        assert (curve.min_power(f), curve.stable_power(f)) == (24, 24)
     assert built.count(7) == 1
     assert s.gap_mask() is s.gap_mask()
     assert built.count(7) == 1
